@@ -5,7 +5,8 @@ verify (array or system JSON -> report), triple (array -> triple JSON +
 report), selftest (built-in grid).  Exit codes: 0 success, 1 a mathematical
 check failed, 2 malformed input or configuration.
 
-The environment variable TB_TRIDIAG_MAX_D (default 64) caps the diameter.
+The environment variable TB_TRIDIAG_MAX_D (default 64) caps the diameter; a
+value that is not an integer is malformed configuration (exit 2).
 """
 
 import argparse
@@ -25,10 +26,11 @@ from .triple import (antiautomorphism_report, braid_check, build_C, build_W,
 
 
 def _max_d():
+    text = os.environ.get("TB_TRIDIAG_MAX_D", "64")
     try:
-        return int(os.environ.get("TB_TRIDIAG_MAX_D", "64"))
+        return int(text)
     except ValueError:
-        return 64
+        raise ParseError(f"TB_TRIDIAG_MAX_D = {text!r} is not an integer") from None
 
 
 def _check_cap(d):

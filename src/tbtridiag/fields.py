@@ -11,20 +11,35 @@ Text encodings (used by all JSON I/O): rationals ``"p/q"`` or ``"n"``, prime
 fields ``"n mod p"``, quadratic extensions ``"a+b*sqrt(d)"`` with ``a``, ``b``,
 ``d`` in the base encoding.  Field descriptors use the mini-language
 ``Q``, ``Q(i)``, ``Q(sqrt:D)``, ``Fp:p``, ``Fp2:p``.
+
+Each field also owns the raw kernel for matrix products over it,
+``_matmul(rows, cols)``: the left operand's rows and the right operand's
+columns go in as lists of raw values and the product comes out as rows of
+raw values, so a product boxes no entry in its inner loop.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
+from operator import mul
 
 from .errors import DivisionByZero, FieldMismatch, NoSquareRootInField, ParseError
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all thirteen bases above
+# (Sorenson and Webster, Math. Comp. 86 (2017)); below it the test is exact.
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin for n < psi_13 = 3317044064679887385961981.
+
+    Raises ValueError at or above that bound, where the fixed bases no longer
+    decide primality.
+    """
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} >= {_MR_LIMIT} is not decided here")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -177,6 +192,8 @@ class Field:
         return FieldElement(self, self._one_raw)
 
     def parse(self, text):
+        if not isinstance(text, str):
+            raise ParseError(f"field elements are strings, got {text!r}")
         return FieldElement(self, self._parse_raw(text.strip()))
 
     def encode(self, elem):
@@ -256,6 +273,14 @@ class RationalField(Field):
             raise DivisionByZero("1/0 in Q")
         return 1 / u
 
+    def _matmul(self, rows, cols):
+        # Integer dot products over each operand's common denominator, then
+        # one Fraction per entry.
+        a, da = _over_common_denominator(rows)
+        b, db = _over_common_denominator(cols)
+        den = da * db
+        return [[Fraction(sum(map(mul, r, c)), den) for c in b] for r in a]
+
     def _encode_raw(self, v):
         return str(v)
 
@@ -320,6 +345,11 @@ class PrimeField(Field):
         if u == 0:
             raise DivisionByZero(f"1/0 in F{self.p}")
         return pow(u, -1, self.p)
+
+    def _matmul(self, rows, cols):
+        # Residues are nonnegative ints: reduce each dot product once.
+        p = self.p
+        return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
 
     def _encode_raw(self, v):
         return f"{v} mod {self.p}"
@@ -452,6 +482,18 @@ class QuadraticExtension(Field):
         ninv = self.base._inv(norm)
         return (bm(a, ninv), self.base._neg(bm(b, ninv)))
 
+    def _matmul(self, rows, cols):
+        # (X + Y s)(Z + T s) = (XZ + D YT) + (XT + YZ) s; each part is one
+        # base product of the side-by-side blocks [X  DY][Z; T] and [X  Y][T; Z].
+        bm, dr = self.base._mul, self._draw
+        real_rows = [[x for x, _ in r] + [bm(dr, y) for _, y in r] for r in rows]
+        imag_rows = [[x for x, _ in r] + [y for _, y in r] for r in rows]
+        real_cols = [[z for z, _ in c] + [t for _, t in c] for c in cols]
+        imag_cols = [[t for _, t in c] + [z for z, _ in c] for c in cols]
+        real = self.base._matmul(real_rows, real_cols)
+        imag = self.base._matmul(imag_rows, imag_cols)
+        return [list(zip(r, i)) for r, i in zip(real, imag)]
+
     def _encode_raw(self, v):
         enc = self.base._encode_raw
         return f"{enc(v[0])}+{enc(v[1])}*sqrt({enc(self._draw)})"
@@ -531,6 +573,12 @@ class QuadraticExtension(Field):
 
     def __hash__(self):
         return hash(("ext", self.base, self.d.value))
+
+
+def _over_common_denominator(vecs):
+    """Fraction vectors as int vectors over one common denominator."""
+    den = lcm(*{f.denominator for v in vecs for f in v})
+    return [[f.numerator * (den // f.denominator) for f in v] for v in vecs], den
 
 
 def least_nonresidue(p):

@@ -1,10 +1,14 @@
 """Dense exact matrices over any supported field.
 
-Matrices are immutable tuples of tuples of field elements.  All operations
-are exact; equality is entrywise structural equality.  The module also
-provides the spectral toolkit used throughout: polynomial evaluation at a
-matrix, primitive idempotents via Lagrange interpolation, and the dimension
-of the unital algebra generated by a set of matrices.
+Matrices are immutable tuples of tuples of field elements, and entries stay
+``FieldElement``s at the API: indexing, encoding and scalars.  All
+operations are exact; equality is entrywise structural equality.  The hot
+operations, products and inversion, unbox the entries once, run on the
+field's raw values (a product through the field's own ``_matmul`` kernel)
+and box the result once.  The module also provides the spectral toolkit used
+throughout: polynomial evaluation at a matrix, primitive idempotents via
+Lagrange interpolation, and the dimension of the unital algebra generated by
+a set of matrices.
 """
 
 from collections import deque
@@ -78,11 +82,8 @@ class Matrix:
             self._check_same_field(other)
             if self.ncols != other.nrows:
                 raise DimensionMismatch(f"mul {self.shape} vs {other.shape}")
-            cols = list(zip(*other.rows))
-            out = []
-            for row in self.rows:
-                out.append([_dot(row, col) for col in cols])
-            return _wrap(self.field, out)
+            cols = list(zip(*other.raw_rows()))
+            return Matrix.from_raw(self.field, self.field._matmul(self.raw_rows(), cols))
         # scalar
         s = self.field(other)
         return _wrap(self.field, [[a * s for a in r] for r in self.rows])
@@ -127,24 +128,37 @@ class Matrix:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.nrows
         field = self.field
-        work = [list(r) for r in self.rows]
-        out = [list(r) for r in identity(field, n).rows]
+        sub, mul, zero, one = field._sub, field._mul, field._zero_raw, field._one_raw
+        work = self.raw_rows()
+        out = [[one if i == j else zero for j in range(n)] for i in range(n)]
         for i in range(n):
-            piv = next((k for k in range(i, n) if not work[k][i].is_zero()), None)
+            piv = next((k for k in range(i, n) if work[k][i] != zero), None)
             if piv is None:
                 raise Singular("matrix is not invertible")
             if piv != i:
                 work[i], work[piv] = work[piv], work[i]
                 out[i], out[piv] = out[piv], out[i]
-            inv = work[i][i].inverse()
-            work[i] = [e * inv for e in work[i]]
-            out[i] = [e * inv for e in out[i]]
+            inv = field._inv(work[i][i])
+            wi = work[i] = [mul(e, inv) for e in work[i]]
+            oi = out[i] = [mul(e, inv) for e in out[i]]
             for k in range(n):
-                if k != i and not work[k][i].is_zero():
-                    f = work[k][i]
-                    work[k] = [a - f * b for a, b in zip(work[k], work[i])]
-                    out[k] = [a - f * b for a, b in zip(out[k], out[i])]
-        return _wrap(field, out)
+                f = work[k][i]
+                if k != i and f != zero:
+                    work[k] = [sub(a, mul(f, b)) for a, b in zip(work[k], wi)]
+                    out[k] = [sub(a, mul(f, b)) for a, b in zip(out[k], oi)]
+        return Matrix.from_raw(field, out)
+
+    def raw_rows(self):
+        """The entries' raw values (see fields.py), as a list of row lists."""
+        return [[e.value for e in r] for r in self.rows]
+
+    @classmethod
+    def from_raw(cls, field, rows):
+        """The matrix with these raw values of field, boxed without coercion."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = tuple(tuple(FieldElement(field, v) for v in r) for r in rows)
+        return m
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
@@ -156,15 +170,6 @@ def _wrap(field, rows):
     m.field = field
     m.rows = tuple(tuple(r) for r in rows)
     return m
-
-
-def _dot(row, col):
-    it = zip(row, col)
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
 
 
 def identity(field, n):

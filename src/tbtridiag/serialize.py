@@ -11,14 +11,12 @@ Document kinds are recognized by their keys: an array document carries
 
 import json
 
-from .arrays import EigenvalueArray, Family, FamilyTag, validate_array
-from .errors import ParseError
+from .arrays import Family, FamilyTag, validate_array
+from .errors import NotAnnihilated, ParseError
 from .fields import parse_field
-from .matrices import Matrix
-from .system import IntersectionNumbers, TBSystem, _signed_sum, diagonal
+from .matrices import Matrix, diagonal, lagrange_idempotents
+from .system import IntersectionNumbers, TBSystem, signed_sum
 from .triple import LeonardTriple, TripleScalars, WData
-from .matrices import lagrange_idempotents
-from .errors import NotAnnihilated
 
 
 def _enc_elems(fld, elems):
@@ -32,7 +30,7 @@ def _enc_matrix(fld, m):
 def _dec_matrix(fld, rows):
     try:
         return Matrix(fld, [[fld.parse(s) for s in row] for row in rows])
-    except (TypeError, AttributeError) as exc:
+    except TypeError as exc:
         raise ParseError(f"bad matrix entry: {exc}") from None
 
 
@@ -126,10 +124,10 @@ def decode_system(doc):
                    for i in range(n))
     try:
         E = tuple(lagrange_idempotents(A, arr.theta))
-        S = _signed_sum(E)
+        S = signed_sum(E)
     except NotAnnihilated:
         E, S = None, None
-    S_star = _signed_sum(E_star)
+    S_star = signed_sum(E_star)
     return TBSystem(arr, inters, A, A_star, E, E_star, K, S, S_star)
 
 

@@ -116,8 +116,8 @@ def build_system(arr):
         k.append(k[-1] * inters.b[i - 1] / inters.c[i - 1])
     K = diagonal(fld, k)
 
-    S = _signed_sum(E)
-    S_star = _signed_sum(E_star)
+    S = signed_sum(E)
+    S_star = signed_sum(E_star)
 
     eye = identity(fld, n)
     acc_e, acc_te = zeros(fld, n), zeros(fld, n)
@@ -135,7 +135,8 @@ def build_system(arr):
     return TBSystem(arr, inters, A, A_star, E, E_star, K, S, S_star)
 
 
-def _signed_sum(mats):
+def signed_sum(mats):
+    """sum (-1)^i mats[i]."""
     acc = mats[0]
     for i, m in enumerate(mats[1:], start=1):
         acc = acc + m * ((-1) ** i)
@@ -278,9 +279,13 @@ def dagger(sys, x):
         raise DimensionMismatch(f"expected {(n, n)}, got {x.shape}")
     if x.field != sys.field:
         raise FieldMismatch("matrix over a different field")
-    k = [sys.K[i, i] for i in range(n)]
-    return Matrix(sys.field,
-                  [[x[j, i] * k[j] / k[i] for j in range(n)] for i in range(n)])
+    fld = sys.field
+    mul = fld._mul
+    k = [sys.K[i, i].value for i in range(n)]
+    kinv = [fld._inv(v) for v in k]
+    # entry (i, j) is x[j, i] * k_j / k_i, on raw values
+    return Matrix.from_raw(fld, [[mul(mul(v, kj), ki) for v, kj in zip(col, k)]
+                                 for col, ki in zip(zip(*x.raw_rows()), kinv)])
 
 
 def dagger_report(sys, pairs=20, seed=0):

@@ -239,8 +239,9 @@ def _conjugation(t):
     return lambda x: tinv * x * t
 
 
-def _dagger_conjugation(sys, t):
-    tinv = t.inverse()
+def _dagger_conjugation(sys, t, tinv=None):
+    if tinv is None:
+        tinv = t.inverse()
     return lambda x: tinv * dagger(sys, x) * t
 
 
@@ -259,15 +260,20 @@ class AntiAutomorphisms:
 def antiautomorphisms(sys, tri, w):
     """The maps X -> T^{-1} X^dagger T for T = I, P^dagger P, (P P^dagger)^{-1},
     W, W'^{-1}, W W' W."""
-    P = w.P
-    P_dag = dagger(sys, P)
+    return _antiautomorphisms(sys, w, dagger(sys, w.P), w.W_prime.inverse())
+
+
+def _antiautomorphisms(sys, w, P_dag, Wp_inv, Pd_P_inv=None, braid_inv=None):
+    """antiautomorphisms from P^dagger and W'^{-1}, reusing the inverses
+    (P^dagger P)^{-1} and (W W' W)^{-1} when the caller has them."""
+    P_Pd = w.P * P_dag
     return AntiAutomorphisms(
         dagger=lambda x: dagger(sys, x),
-        dagger_p=_dagger_conjugation(sys, P_dag * P),
-        dagger_pp=_dagger_conjugation(sys, (P * P_dag).inverse()),
+        dagger_p=_dagger_conjugation(sys, P_dag * w.P, Pd_P_inv),
+        dagger_pp=_dagger_conjugation(sys, P_Pd.inverse(), P_Pd),
         ddagger=_dagger_conjugation(sys, w.W),
-        ddagger_p=_dagger_conjugation(sys, w.W_prime.inverse()),
-        ddagger_pp=_dagger_conjugation(sys, w.W * w.W_prime * w.W),
+        ddagger_p=_dagger_conjugation(sys, Wp_inv, w.W_prime),
+        ddagger_pp=_dagger_conjugation(sys, w.W * w.W_prime * w.W, braid_inv),
     )
 
 
@@ -284,27 +290,17 @@ def _is_scalar(m):
     return not lead.is_zero()
 
 
-def _conjugation_fixes_units(m):
-    """Whether X -> M^{-1} X M is the identity on all matrix units."""
-    n = m.nrows
-    minv = m.inverse()
-    fld = m.field
-    one, zero = fld.one, fld.zero
-    for a in range(n):
-        for b in range(n):
-            # (M^{-1} e_ab M)[i][j] = Minv[i][a] * M[b][j]
-            for i in range(n):
-                for j in range(n):
-                    want = one if (i, j) == (a, b) else zero
-                    if minv[i, a] * m[b, j] != want:
-                        return False
-    return True
-
-
 def antiautomorphism_report(sys, tri, w):
     """Action tables and involutivity of the six antiautomorphisms."""
     rb = ReportBuilder()
-    maps = antiautomorphisms(sys, tri, w)
+    P = w.P
+    P_dag = dagger(sys, P)
+    # Each matrix is inverted at most once per call.
+    Pd_P_inv = (P_dag * P).inverse()
+    Wp_inv = w.W_prime.inverse()
+    braid_t = w.W * w.W_prime * w.W
+    braid_inv = braid_t.inverse()
+    maps = _antiautomorphisms(sys, w, P_dag, Wp_inv, Pd_P_inv, braid_inv)
     A, B, C = tri.A, tri.B, tri.C
     sc = tri.scalars
     dag, dag_p, dag_pp = maps.dagger, maps.dagger_p, maps.dagger_pp
@@ -331,9 +327,8 @@ def antiautomorphism_report(sys, tri, w):
 
     if sc.case == "beta=-2":
         # dagger' = dagger'' = dagger as maps: their twists are central
-        P_dag = dagger(sys, w.P)
-        rb.record("dagger' = dagger as maps", _is_scalar(P_dag * w.P))
-        rb.record("dagger'' = dagger as maps", _is_scalar(w.P * P_dag))
+        rb.record("dagger' = dagger as maps", _is_scalar(P_dag * P))
+        rb.record("dagger'' = dagger as maps", _is_scalar(P * P_dag))
 
     for name, f, fa, fb, fc in (("ddagger", dd, A, C, B),
                                 ("ddagger'", dd_p, C, B, A),
@@ -343,40 +338,37 @@ def antiautomorphism_report(sys, tri, w):
         rb.matrices_equal(f"{name}(C)", f(C), fc)
 
     # xi^2(X) = M^{-1} X M with M = (T^dagger)^{-1} T; identity iff M central
-    for name, t in (("ddagger", w.W), ("ddagger'", w.W_prime.inverse()),
-                    ("ddagger''", w.W * w.W_prime * w.W)):
-        m = dagger(sys, t).inverse() * t
-        rb.record(f"{name}^2 = id", _is_scalar(m))
+    twists = (w.W, Wp_inv, w.W * w.W_prime * w.W)
+    twist_dag_invs = [dagger(sys, t).inverse() for t in twists]
+    for name, t, t_dag_inv in zip(("ddagger", "ddagger'", "ddagger''"),
+                                  twists, twist_dag_invs):
+        rb.record(f"{name}^2 = id", _is_scalar(t_dag_inv * t))
+    W_dag_inv, Wp_inv_dag_inv, braid_dag_inv = twist_dag_invs
 
     # Composing the antiautomorphisms with twists T2 then T1 conjugates by
     # M = (T2^dagger)^{-1} T1; rho itself conjugates by P, so each variant
     # must agree with P up to a central factor.
-    P = w.P
-    braid_t = w.W * w.W_prime * w.W
-    comp1 = dagger(sys, w.W_prime.inverse()).inverse() * w.W
-    comp2 = dagger(sys, braid_t).inverse() * w.W_prime.inverse()
-    comp3 = dagger(sys, w.W).inverse() * braid_t
+    Pinv = P.inverse()
+    comp1 = Wp_inv_dag_inv * w.W
+    comp2 = braid_dag_inv * Wp_inv
+    comp3 = W_dag_inv * braid_t
     for name, m in (("rho = ddagger o ddagger'", comp1),
                     ("rho = ddagger' o ddagger''", comp2),
                     ("rho = ddagger'' o ddagger", comp3)):
-        rb.record(name, _is_scalar(m * P.inverse()))
+        rb.record(name, _is_scalar(m * Pinv))
 
     # The primed maps are the rho-conjugates of the unprimed ones:
     # rho o xi_T o rho^-1 twists by P^dagger T P, rho^-1 o xi_T o rho by
-    # (P^dagger)^{-1} T P^{-1}; two twists give the same antiautomorphism
-    # iff they differ by a central factor.
-    P_dag = dagger(sys, P)
+    # (P^dagger)^{-1} T P^{-1}; two twists T, T' give the same
+    # antiautomorphism iff T T'^{-1} is central.
     P_dag_inv = P_dag.inverse()
-    Pinv = P.inverse()
-    for name, m, t in (
-            ("dagger' = rho o dagger o rho^-1", P_dag * P, P_dag * P),
-            ("dagger'' = rho^-1 o dagger o rho",
-             P_dag_inv * Pinv, (P * P_dag).inverse()),
-            ("ddagger' = rho o ddagger o rho^-1",
-             P_dag * w.W * P, w.W_prime.inverse()),
+    for name, m, t_inv in (
+            ("dagger' = rho o dagger o rho^-1", P_dag * P, Pd_P_inv),
+            ("dagger'' = rho^-1 o dagger o rho", P_dag_inv * Pinv, P * P_dag),
+            ("ddagger' = rho o ddagger o rho^-1", P_dag * w.W * P, w.W_prime),
             ("ddagger'' = rho^-1 o ddagger o rho",
-             P_dag_inv * w.W * Pinv, braid_t)):
-        rb.record(name, _is_scalar(m * t.inverse()))
+             P_dag_inv * w.W * Pinv, braid_inv)):
+        rb.record(name, _is_scalar(m * t_inv))
     return rb.build()
 
 
@@ -421,10 +413,10 @@ def sigma_and_psl2z(sys, tri, w, word_maxlen=4):
     rb.matrices_equal("rho(W') = W''", rho(w.W_prime), w.W_dprime)
     rb.matrices_equal("rho(W'') = W", rho(w.W_dprime), w.W)
 
-    rb.record("rho^3 = id on all matrix units",
-              _conjugation_fixes_units(P * P * P))
-    rb.record("sigma^2 = id on all matrix units",
-              _conjugation_fixes_units(Tinv * Tinv))
+    # Conjugation by M fixes every matrix unit iff M is a nonzero scalar:
+    # the centraliser of the full matrix algebra is the scalars.
+    rb.record("rho^3 = id on all matrix units", _is_scalar(P * P * P))
+    rb.record("sigma^2 = id on all matrix units", _is_scalar(Tinv * Tinv))
 
     # Words act by conjugation; g_r = P^{-1}, g_s = T^{-1} give
     # phi_w(X) = g_w X g_w^{-1} with g_w the left-to-right product.

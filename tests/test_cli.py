@@ -163,3 +163,18 @@ def test_malformed_input(capsys, tmp_path):
     assert code == 2 and "ParseError" in err
     code, _, err = run(capsys, "verify", "-i", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_json_number_scalars_rejected(capsys, tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"field": "Q", "d": 3, "theta": [3, 1, -1, -3],
+                                "theta_star": [3, 1, -1, -3]}))
+    code, _, err = run(capsys, "verify", "-i", str(path))
+    assert code == 2 and "ParseError" in err
+
+
+def test_malformed_max_d_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("TB_TRIDIAG_MAX_D", "abc")
+    code, _, err = run(capsys, "generate", "--family", "krawtchouk",
+                       "--d", "3", "--field", "Q")
+    assert code == 2 and "ParseError" in err and "TB_TRIDIAG_MAX_D" in err

@@ -43,6 +43,23 @@ def test_prime_field_requires_prime():
     assert is_prime(101) and is_prime(2) and not is_prime(1)
 
 
+def test_strong_pseudoprime_is_not_a_prime_field():
+    # psi_12: a strong pseudoprime to every prime base up to 37
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    for spec in (f"Fp:{psi12}", f"Fp2:{psi12}"):
+        with pytest.raises(ParseError):
+            parse_field(spec)
+    # at or above psi_13 the fixed bases decide nothing: refuse, do not guess
+    psi13 = 3317044064679887385961981
+    with pytest.raises(ValueError):
+        is_prime(psi13)
+    with pytest.raises(ParseError):
+        parse_field(f"Fp:{psi13}")
+    assert is_prime((1 << 61) - 1)
+
+
 def test_field_mismatch():
     F7, F11 = PrimeField(7), PrimeField(11)
     with pytest.raises(FieldMismatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +7,12 @@ from hypothesis import strategies as st
 
 from tbtridiag.errors import (DimensionMismatch, DuplicateEigenvalue,
                               NotAnnihilated, Singular)
-from tbtridiag.fields import QQ, PrimeField, QQi
+from tbtridiag.fields import (QQ, PrimeField, QQi, QuadraticExtension,
+                              RationalField, parse_field)
 from tbtridiag.matrices import (Matrix, algebra_dimension, anticommutator,
                                 column, commutator, diagonal, identity,
                                 lagrange_idempotents, poly_eval, zeros)
+from tbtridiag.system import dagger
 
 KRAW_A = Matrix(QQ, [[0, 3, 0, 0], [1, 0, 2, 0], [0, 2, 0, 1], [0, 0, 3, 0]])
 KRAW_THETA = [3, 1, -1, -3]
@@ -179,3 +182,141 @@ def test_algebra_dimension_deficient_exact_fallback():
     a_star = diagonal(QQ, KRAW_THETA)
     dim = algebra_dimension([a, a_star], 4)
     assert dim < 16
+
+
+# ---------------------------------------------------------------------------
+# the raw kernels against boxed references
+#
+# The references below compute on FieldElement values only: a product by
+# dot products of boxed entries, an inverse by the same Gauss-Jordan
+# elimination on boxed entries, and the dagger map by boxed field division.
+# ---------------------------------------------------------------------------
+
+M61 = (1 << 61) - 1
+KERNEL_FIELDS = ["Q", "Q(i)", "Q(sqrt:2)", "Q(sqrt:-3/5)", "Fp:2", "Fp:101",
+                 f"Fp:{M61}", "Fp2:3", "Fp2:101", f"Fp2:{M61}"]
+
+
+def _boxed_dot(row, col):
+    it = zip(row, col)
+    a, b = next(it)
+    acc = a * b
+    for a, b in it:
+        acc = acc + a * b
+    return acc
+
+
+def _boxed_mul(x, y):
+    cols = list(zip(*y.rows))
+    return Matrix(x.field, [[_boxed_dot(row, col) for col in cols] for row in x.rows])
+
+
+def _boxed_inverse(x):
+    n = x.nrows
+    work = [list(r) for r in x.rows]
+    out = [list(r) for r in identity(x.field, n).rows]
+    for i in range(n):
+        piv = next((k for k in range(i, n) if not work[k][i].is_zero()), None)
+        if piv is None:
+            raise Singular("matrix is not invertible")
+        if piv != i:
+            work[i], work[piv] = work[piv], work[i]
+            out[i], out[piv] = out[piv], out[i]
+        inv = work[i][i].inverse()
+        work[i] = [e * inv for e in work[i]]
+        out[i] = [e * inv for e in out[i]]
+        for k in range(n):
+            if k != i and not work[k][i].is_zero():
+                f = work[k][i]
+                work[k] = [a - f * b for a, b in zip(work[k], work[i])]
+                out[k] = [a - f * b for a, b in zip(out[k], out[i])]
+    return Matrix(x.field, out)
+
+
+def _boxed_dagger(sys, x):
+    n = sys.d + 1
+    k = [sys.K[i, i] for i in range(n)]
+    return Matrix(sys.field, [[x[j, i] * k[j] / k[i] for j in range(n)] for i in range(n)])
+
+
+def _typed(m):
+    """Entries with the types of their raw values, so Fraction(3) != 3."""
+    def typed(v):
+        return tuple(map(typed, v)) if isinstance(v, tuple) else (type(v), v)
+    assert all(e.field == m.field for r in m.rows for e in r)
+    return [[typed(e.value) for e in r] for r in m.rows]
+
+
+def _base_elements(fld):
+    if isinstance(fld, RationalField):
+        return st.one_of(st.just(0), st.integers(-9, 9),
+                         st.fractions(-30, 30, max_denominator=60))
+    return st.one_of(st.just(0), st.integers(0, fld.p - 1))
+
+
+def _elements(fld):
+    if isinstance(fld, QuadraticExtension):
+        base = _base_elements(fld.base)
+        return st.tuples(base, base).map(lambda ab: fld(ab[0]) + fld.gen() * fld(ab[1]))
+    return _base_elements(fld).map(fld)
+
+
+@st.composite
+def _matrices(draw, fld, n, m):
+    rows = [[draw(_elements(fld)) for _ in range(m)] for _ in range(n)]
+    zero_row = draw(st.none() | st.integers(0, n - 1))
+    if zero_row is not None:
+        rows[zero_row] = [fld.zero] * m
+    return Matrix(fld, rows)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_product_matches_boxed_reference(spec, data):
+    fld = parse_field(spec)
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    x = data.draw(_matrices(fld, n, k))
+    y = data.draw(_matrices(fld, k, m))
+    assert _typed(x * y) == _typed(_boxed_mul(x, y))
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_boxed_reference(spec, data):
+    fld = parse_field(spec)
+    x = data.draw(_matrices(fld, *[data.draw(st.integers(1, 5))] * 2))
+    try:
+        expected = _boxed_inverse(x)
+    except Singular:
+        with pytest.raises(Singular):
+            x.inverse()
+        return
+    assert _typed(x.inverse()) == _typed(expected)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_dagger_matches_boxed_reference(spec, data):
+    fld = parse_field(spec)
+    n = data.draw(st.integers(1, 5))
+    nonzero = _elements(fld).filter(lambda e: not e.is_zero())
+    ks = [data.draw(nonzero) for _ in range(n)]
+    sys = SimpleNamespace(d=n - 1, field=fld, K=diagonal(fld, ks))
+    x = data.draw(_matrices(fld, n, n))
+    assert _typed(dagger(sys, x)) == _typed(_boxed_dagger(sys, x))
+
+
+@pytest.mark.parametrize("spec", ["Q", "Q(sqrt:7/3)"])
+def test_kernels_over_many_denominators(spec):
+    fld = parse_field(spec)
+    s = fld.gen() if isinstance(fld, QuadraticExtension) else fld.one
+    x = Matrix(fld, [[fld(Fraction(i - 2 * j, 1 + i + 3 * j)) + s * fld(Fraction(1, 2 + i * j))
+                      for j in range(4)] for i in range(5)])
+    y = Matrix(fld, [[fld(Fraction(7 * i + 1, 5 + j * j)) for j in range(6)]
+                     for i in range(4)])
+    assert _typed(x * y) == _typed(_boxed_mul(x, y))
+    square = x.transpose() * x
+    assert _typed(square.inverse()) == _typed(_boxed_inverse(square))

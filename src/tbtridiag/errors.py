@@ -112,6 +112,16 @@ class KappaMismatch(TBTridiagError):
     """P^3 is not the predicted scalar multiple of the identity."""
 
 
+class InvariantViolation(TBTridiagError):
+    """An identity that holds by construction failed: the construction is broken."""
+
+
+def require(ok, what):
+    """Raise InvariantViolation(what) unless ok; unlike assert, kept under python -O."""
+    if not ok:
+        raise InvariantViolation(what)
+
+
 # -- I/O ------------------------------------------------------------------
 
 class ParseError(TBTridiagError):

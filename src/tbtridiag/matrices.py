@@ -6,9 +6,15 @@ operations are exact; equality is entrywise structural equality.  The hot
 operations, products and inversion, unbox the entries once, run on the
 field's raw values (a product through the field's own ``_matmul`` kernel)
 and box the result once.  The module also provides the spectral toolkit used
-throughout: polynomial evaluation at a matrix, primitive idempotents via
-Lagrange interpolation, and the dimension of the unital algebra generated by
-a set of matrices.
+throughout: polynomial evaluation at a matrix, primitive idempotents, and the
+dimension of the unital algebra generated by a set of matrices.
+
+Primitive idempotents come two ways.  For an irreducible tridiagonal matrix
+each one has rank one, and ``rank_one_idempotents`` builds it from its right
+and left eigenvectors, which the three-term recurrence gives in O(n) each.
+For any other matrix ``lagrange_idempotents`` interpolates densely; it is
+also the independent reference the tests compare the rank-one path with.
+``primitive_idempotents`` picks between the two.
 """
 
 from collections import deque
@@ -254,6 +260,79 @@ def lagrange_idempotents(x, eigenvalues):
     return out
 
 
+def _eigenvector(field, diag, below, above_inv, t):
+    """The t-eigenvector (1, u_1, ..., u_{n-1}) of the irreducible tridiagonal
+    matrix with this diagonal, subdiagonal and inverted superdiagonal, or None
+    when t is not an eigenvalue; all values raw."""
+    sub, mul = field._sub, field._mul
+    u = [field._one_raw]
+    for k, dk in enumerate(diag):
+        # row k of (x - t I) u = 0 gives u_{k+1}; the last row is a residual
+        r = mul(sub(t, dk), u[k])
+        if k:
+            r = sub(r, mul(below[k - 1], u[k - 1]))
+        if k == len(above_inv):
+            return u if r == field._zero_raw else None
+        u.append(mul(r, above_inv[k]))
+
+
+def rank_one_idempotents(x, eigenvalues):
+    """Rank-one primitive idempotents of an irreducible tridiagonal x.
+
+    For each eigenvalue t_i the three-term recurrence gives the right
+    eigenvector u_i of x and, run on x^t, the left eigenvector w_i, both with
+    first entry 1; then E_i = u_i w_i^t / (w_i^t u_i).  Returns
+    (E, right, left): right has the u_i as columns and left the w_i^t as
+    rows, so left * M * right holds the scalars w_i^t M u_j.  Returns None
+    unless x is square, irreducible tridiagonal and given one eigenvalue per
+    row.  Raises like lagrange_idempotents: DuplicateEigenvalue on repeats,
+    NotAnnihilated when some t_i is not an eigenvalue, which for such x is
+    exactly when prod (x - t_i I) != 0.
+    """
+    field = x.field
+    thetas = [field(t) for t in eigenvalues]
+    n = x.nrows
+    if x.ncols != n or len(thetas) != n:
+        return None
+    rows = x.raw_rows()
+    zero = field._zero_raw
+    # nonzero exactly on the sub- and superdiagonal; the diagonal is free
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if i != j and (v != zero) != (abs(i - j) == 1):
+                return None
+    if len(set(thetas)) != n:
+        raise DuplicateEigenvalue("eigenvalues must be pairwise distinct")
+    diag = [rows[k][k] for k in range(n)]
+    below = [rows[k + 1][k] for k in range(n - 1)]
+    above = [rows[k][k + 1] for k in range(n - 1)]
+    below_inv = [field._inv(v) for v in below]
+    above_inv = [field._inv(v) for v in above]
+    add, mul = field._add, field._mul
+    E, us, ws = [], [], []
+    for t in thetas:
+        u = _eigenvector(field, diag, below, above_inv, t.value)
+        w = _eigenvector(field, diag, above, below_inv, t.value)
+        if u is None or w is None:
+            raise NotAnnihilated("matrix is not annihilated by the eigenvalue factors")
+        norm = zero
+        for a, b in zip(w, u):
+            norm = add(norm, mul(a, b))
+        scale = field._inv(norm)
+        E.append(Matrix.from_raw(field, [[mul(a, b) for b in w]
+                                         for a in [mul(v, scale) for v in u]]))
+        us.append(u)
+        ws.append(w)
+    return tuple(E), Matrix.from_raw(field, list(zip(*us))), Matrix.from_raw(field, ws)
+
+
+def primitive_idempotents(x, eigenvalues):
+    """rank_one_idempotents when x is irreducible tridiagonal, else
+    lagrange_idempotents; a tuple either way."""
+    found = rank_one_idempotents(x, eigenvalues)
+    return found[0] if found else tuple(lagrange_idempotents(x, eigenvalues))
+
+
 # ---------------------------------------------------------------------------
 # dimension of a generated matrix algebra
 #
@@ -263,7 +342,7 @@ def lagrange_idempotents(x, eigenvalues):
 # the full unital algebra; the dimension saturates at n^2.
 # ---------------------------------------------------------------------------
 
-_CERT_PRIME = (1 << 61) - 1
+_CERT_FIELD = PrimeField((1 << 61) - 1)
 
 
 class _GFEchelon:
@@ -372,10 +451,6 @@ class _FieldEchelon:
         return False
 
 
-class _BadReduction(Exception):
-    pass
-
-
 def _closure_rank(field, gens, n, echelon, vectorize):
     cap = n * n
     eye = identity(field, n)
@@ -412,32 +487,18 @@ def algebra_dimension(generators, n):
         return _closure_rank(field, gens, n, _GFEchelon(field.p), raw_vec)
 
     if isinstance(field, RationalField):
-        # Full rank mod a large prime certifies full rank over Q; on a
-        # deficient or unreducible projection redo the closure exactly.
-        p = _CERT_PRIME
-        inv_cache = {1: 1}
-
-        def mod_vec(m):
-            out = []
-            for row in m.rows:
-                for e in row:
-                    f = e.value
-                    d = f.denominator
-                    dinv = inv_cache.get(d)
-                    if dinv is None:
-                        if d % p == 0:
-                            raise _BadReduction
-                        dinv = pow(d, -1, p)
-                        inv_cache[d] = dinv
-                    out.append(f.numerator * dinv % p)
-            return out
-
-        try:
-            rank = _closure_rank(field, gens, n, _GFEchelon(p), mod_vec)
-            if rank == n * n:
-                return rank
-        except _BadReduction:
-            pass
+        # Full rank mod a large prime certifies full rank over Q: reduce the
+        # generators once and close over F_p.  On a deficient rank, or a
+        # denominator the prime divides, redo the closure exactly.
+        p = _CERT_FIELD.p
+        raw = [g.raw_rows() for g in gens]
+        if all(f.denominator % p for rows in raw for row in rows for f in row):
+            reduced = [Matrix.from_raw(_CERT_FIELD,
+                                       [[f.numerator * pow(f.denominator, -1, p) % p
+                                         for f in row] for row in rows])
+                       for rows in raw]
+            if _closure_rank(_CERT_FIELD, reduced, n, _GFEchelon(p), raw_vec) == n * n:
+                return n * n
         return _closure_rank(field, gens, n, _ExactIntEchelon(), raw_vec)
 
     return _closure_rank(field, gens, n, _FieldEchelon(field), raw_vec)

@@ -14,7 +14,7 @@ import json
 from .arrays import Family, FamilyTag, validate_array
 from .errors import NotAnnihilated, ParseError
 from .fields import parse_field
-from .matrices import Matrix, diagonal, lagrange_idempotents
+from .matrices import Matrix, diagonal, lagrange_idempotents, primitive_idempotents
 from .system import IntersectionNumbers, TBSystem, signed_sum
 from .triple import LeonardTriple, TripleScalars, WData
 
@@ -27,11 +27,17 @@ def _enc_matrix(fld, m):
     return [[fld.encode(e) for e in row] for row in m.rows]
 
 
+def _dec_elems(fld, items):
+    # a string is iterable too: without this check "3113" reads as 3, 1, 1, 3
+    if not isinstance(items, list):
+        raise ParseError(f"expected a JSON array of elements, got {items!r}")
+    return [fld.parse(s) for s in items]
+
+
 def _dec_matrix(fld, rows):
-    try:
-        return Matrix(fld, [[fld.parse(s) for s in row] for row in rows])
-    except TypeError as exc:
-        raise ParseError(f"bad matrix entry: {exc}") from None
+    if not isinstance(rows, list):
+        raise ParseError(f"expected a JSON array of rows, got {rows!r}")
+    return Matrix(fld, [_dec_elems(fld, row) for row in rows])
 
 
 def emit_array(arr):
@@ -59,8 +65,8 @@ def emit_array(arr):
 def decode_array(doc):
     try:
         fld = parse_field(doc["field"])
-        theta = [fld.parse(s) for s in doc["theta"]]
-        theta_star = [fld.parse(s) for s in doc["theta_star"]]
+        theta = _dec_elems(fld, doc["theta"])
+        theta_star = _dec_elems(fld, doc["theta_star"])
         d = doc["d"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed array document: {exc}") from None
@@ -107,11 +113,7 @@ def decode_system(doc):
         arr = decode_array(doc["array"])
         fld = arr.field
         inters = IntersectionNumbers(
-            tuple(fld.parse(s) for s in doc["c"]),
-            tuple(fld.parse(s) for s in doc["b"]),
-            tuple(fld.parse(s) for s in doc["c_star"]),
-            tuple(fld.parse(s) for s in doc["b_star"]),
-        )
+            *(tuple(_dec_elems(fld, doc[key])) for key in ("c", "b", "c_star", "b_star")))
         A = _dec_matrix(fld, doc["A"])
         A_star = _dec_matrix(fld, doc["A_star"])
         K = _dec_matrix(fld, doc["K"])
@@ -123,7 +125,7 @@ def decode_system(doc):
     E_star = tuple(diagonal(fld, [fld.one if j == i else fld.zero for j in range(n)])
                    for i in range(n))
     try:
-        E = tuple(lagrange_idempotents(A, arr.theta))
+        E = primitive_idempotents(A, arr.theta)
         S = signed_sum(E)
     except NotAnnihilated:
         E, S = None, None
@@ -164,7 +166,7 @@ def decode_triple(doc):
         sc = TripleScalars(
             fld.parse(doc["beta"]), fld.parse(doc["rho"]), fld.parse(doc["h"]),
             fld.parse(doc["z"]), fld.parse(doc["q"]) if "q" in doc else None)
-        t = tuple(fld.parse(s) for s in doc["t"])
+        t = tuple(_dec_elems(fld, doc["t"]))
         kappa = fld.parse(doc["kappa"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed triple document: {exc}") from None
@@ -172,7 +174,7 @@ def decode_triple(doc):
         raise ParseError("triple document with a non-diagonalizable A")
     theta = sys.array.theta
     E_prime = tuple(lagrange_idempotents(sys.A_star, theta))
-    E_dprime = tuple(lagrange_idempotents(C, theta))
+    E_dprime = primitive_idempotents(C, theta)
     tri = LeonardTriple(sys.A, sys.A_star, C, sys.E, E_prime, E_dprime, sc)
     return sys, tri, WData(W, W_prime, W_dprime, P, t, kappa)
 

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 from .arrays import aw_sequence, fundamental_parameter, is_self_dual, ANY_BETA
 from .errors import (BetaInvalid, KappaMismatch, NoSquareRootInField,
-                     NotSelfDual, RelationViolation)
-from .matrices import Matrix, identity, lagrange_idempotents, zeros
+                     NotSelfDual, RelationViolation, require)
+from .matrices import (Matrix, identity, lagrange_idempotents,
+                       primitive_idempotents, zeros)
 from .recurrences import solve_q
 from .report import ReportBuilder
-from .system import dagger
+from .system import dagger, dagger_map
 
 
 @dataclass(frozen=True)
@@ -93,14 +94,16 @@ def triple_scalars(sys, beta=None, q=None):
 
     if beta == fld(2):
         h = theta[0] / d
-        assert all(theta[i] == h * (d - 2 * i) for i in range(d + 1))
-        assert rho == 4 * h * h
+        require(all(theta[i] == h * (d - 2 * i) for i in range(d + 1)),
+                "theta_i != h (d - 2i)")
+        require(rho == 4 * h * h, "rho != 4 h^2")
         zsq = -rho
         q = None
     elif beta == fld(-2):
         h = theta[0] / d
-        assert all(theta[i] == h * (d - 2 * i) * (-1) ** i for i in range(d + 1))
-        assert rho == 4 * h * h
+        require(all(theta[i] == h * (d - 2 * i) * (-1) ** i for i in range(d + 1)),
+                "theta_i != (-1)^i h (d - 2i)")
+        require(rho == 4 * h * h, "rho != 4 h^2")
         zsq = rho
         q = None
     else:
@@ -115,9 +118,10 @@ def triple_scalars(sys, beta=None, q=None):
             if q * q + (q * q).inverse() != beta:
                 raise BetaInvalid(f"q = {q} does not match beta = {beta}")
         h = theta[0] / (q ** d - q ** (-d))
-        assert all(theta[i] == h * (q ** (d - 2 * i) - q ** (2 * i - d))
-                   for i in range(d + 1))
-        assert rho == h * h * (q * q - (q * q).inverse()) ** 2
+        require(all(theta[i] == h * (q ** (d - 2 * i) - q ** (2 * i - d))
+                    for i in range(d + 1)), "theta_i != h (q^(d-2i) - q^(2i-d))")
+        require(rho == h * h * (q * q - (q * q).inverse()) ** 2,
+                "rho != h^2 (q^2 - q^-2)^2")
         zsq = rho / (4 - beta * beta)
     z = fld.sqrt(zsq)
     if z is None:
@@ -158,7 +162,8 @@ def build_C(sys, sc):
             raise RelationViolation(f"cyclic relation {k} failed for case {sc.case}")
     theta = sys.array.theta
     E_prime = tuple(lagrange_idempotents(B, theta))
-    E_dprime = tuple(lagrange_idempotents(C, theta))
+    # C is tridiagonal with zero diagonal, like A
+    E_dprime = primitive_idempotents(C, theta)
     return LeonardTriple(A, B, C, tuple(sys.E), E_prime, E_dprime, sc)
 
 
@@ -196,8 +201,8 @@ def build_W(tri):
     """The spectral elements W, W', W'' and P = W'W, with P^3 = kappa I.
 
     The intertwining identities A W = W A, B W' = W' B, B W = W C, C W' = W' A
-    and the three factorizations of P are asserted; a wrong kappa raises
-    KappaMismatch.
+    and the three factorizations of P are checked (InvariantViolation); a
+    wrong kappa raises KappaMismatch.
     """
     sc = tri.scalars
     d = tri.d
@@ -207,9 +212,11 @@ def build_W(tri):
     W_dprime = _spectral_sum(tri.E_dprime, t)
     P = W_prime * W
     A, B, C = tri.A, tri.B, tri.C
-    assert A * W == W * A and B * W_prime == W_prime * B
-    assert B * W == W * C and C * W_prime == W_prime * A
-    assert P == W_dprime * W_prime == W * W_dprime
+    require(A * W == W * A and B * W_prime == W_prime * B,
+            "W or W' does not commute with A or B")
+    require(B * W == W * C and C * W_prime == W_prime * A,
+            "W or W' does not intertwine")
+    require(P == W_dprime * W_prime == W * W_dprime, "the factorizations of P disagree")
     kappa = expected_kappa(sc, d)
     if P * P * P != identity(tri.field, d + 1) * kappa:
         raise KappaMismatch(f"P^3 != {kappa} I for case {sc.case}")
@@ -234,15 +241,10 @@ def braid_check(w):
     return rb.build()
 
 
-def _conjugation(t):
-    tinv = t.inverse()
-    return lambda x: tinv * x * t
-
-
-def _dagger_conjugation(sys, t, tinv=None):
+def _dagger_conjugation(dag, t, tinv=None):
     if tinv is None:
         tinv = t.inverse()
-    return lambda x: tinv * dagger(sys, x) * t
+    return lambda x: tinv * dag(x) * t
 
 
 @dataclass(frozen=True)
@@ -260,20 +262,21 @@ class AntiAutomorphisms:
 def antiautomorphisms(sys, tri, w):
     """The maps X -> T^{-1} X^dagger T for T = I, P^dagger P, (P P^dagger)^{-1},
     W, W'^{-1}, W W' W."""
-    return _antiautomorphisms(sys, w, dagger(sys, w.P), w.W_prime.inverse())
+    dag = dagger_map(sys)
+    return _antiautomorphisms(dag, w, dag(w.P), w.W_prime.inverse())
 
 
-def _antiautomorphisms(sys, w, P_dag, Wp_inv, Pd_P_inv=None, braid_inv=None):
-    """antiautomorphisms from P^dagger and W'^{-1}, reusing the inverses
-    (P^dagger P)^{-1} and (W W' W)^{-1} when the caller has them."""
+def _antiautomorphisms(dag, w, P_dag, Wp_inv, Pd_P_inv=None, braid_inv=None):
+    """antiautomorphisms from the dagger map, P^dagger and W'^{-1}, reusing
+    the inverses (P^dagger P)^{-1} and (W W' W)^{-1} when the caller has them."""
     P_Pd = w.P * P_dag
     return AntiAutomorphisms(
-        dagger=lambda x: dagger(sys, x),
-        dagger_p=_dagger_conjugation(sys, P_dag * w.P, Pd_P_inv),
-        dagger_pp=_dagger_conjugation(sys, P_Pd.inverse(), P_Pd),
-        ddagger=_dagger_conjugation(sys, w.W),
-        ddagger_p=_dagger_conjugation(sys, Wp_inv, w.W_prime),
-        ddagger_pp=_dagger_conjugation(sys, w.W * w.W_prime * w.W, braid_inv),
+        dagger=dag,
+        dagger_p=_dagger_conjugation(dag, P_dag * w.P, Pd_P_inv),
+        dagger_pp=_dagger_conjugation(dag, P_Pd.inverse(), P_Pd),
+        ddagger=_dagger_conjugation(dag, w.W),
+        ddagger_p=_dagger_conjugation(dag, Wp_inv, w.W_prime),
+        ddagger_pp=_dagger_conjugation(dag, w.W * w.W_prime * w.W, braid_inv),
     )
 
 
@@ -294,16 +297,17 @@ def antiautomorphism_report(sys, tri, w):
     """Action tables and involutivity of the six antiautomorphisms."""
     rb = ReportBuilder()
     P = w.P
-    P_dag = dagger(sys, P)
+    dag = dagger_map(sys)
+    P_dag = dag(P)
     # Each matrix is inverted at most once per call.
     Pd_P_inv = (P_dag * P).inverse()
     Wp_inv = w.W_prime.inverse()
     braid_t = w.W * w.W_prime * w.W
     braid_inv = braid_t.inverse()
-    maps = _antiautomorphisms(sys, w, P_dag, Wp_inv, Pd_P_inv, braid_inv)
+    maps = _antiautomorphisms(dag, w, P_dag, Wp_inv, Pd_P_inv, braid_inv)
     A, B, C = tri.A, tri.B, tri.C
     sc = tri.scalars
-    dag, dag_p, dag_pp = maps.dagger, maps.dagger_p, maps.dagger_pp
+    dag_p, dag_pp = maps.dagger_p, maps.dagger_pp
     dd, dd_p, dd_pp = maps.ddagger, maps.ddagger_p, maps.ddagger_pp
 
     rb.matrices_equal("dagger fixes W", dag(w.W), w.W)
@@ -320,10 +324,11 @@ def antiautomorphism_report(sys, tri, w):
         table = [("dagger", dag, A, B, C - (A * B - B * A) * shear),
                  ("dagger'", dag_p, A - (B * C - C * B) * shear, B, C),
                  ("dagger''", dag_pp, A, B - (C * A - A * C) * shear, C)]
+    images = {}
     for name, f, ea, eb, ec in table:
-        rb.matrices_equal(f"{name}(A)", f(A), ea)
-        rb.matrices_equal(f"{name}(B)", f(B), eb)
-        rb.matrices_equal(f"{name}(C)", f(C), ec)
+        for x_name, x, expected in (("A", A, ea), ("B", B, eb), ("C", C, ec)):
+            images[name, x_name] = image = f(x)
+            rb.matrices_equal(f"{name}({x_name})", image, expected)
 
     if sc.case == "beta=-2":
         # dagger' = dagger'' = dagger as maps: their twists are central
@@ -338,8 +343,8 @@ def antiautomorphism_report(sys, tri, w):
         rb.matrices_equal(f"{name}(C)", f(C), fc)
 
     # xi^2(X) = M^{-1} X M with M = (T^dagger)^{-1} T; identity iff M central
-    twists = (w.W, Wp_inv, w.W * w.W_prime * w.W)
-    twist_dag_invs = [dagger(sys, t).inverse() for t in twists]
+    twists = (w.W, Wp_inv, braid_t)
+    twist_dag_invs = [dag(t).inverse() for t in twists]
     for name, t, t_dag_inv in zip(("ddagger", "ddagger'", "ddagger''"),
                                   twists, twist_dag_invs):
         rb.record(f"{name}^2 = id", _is_scalar(t_dag_inv * t))
@@ -357,14 +362,24 @@ def antiautomorphism_report(sys, tri, w):
                     ("rho = ddagger'' o ddagger", comp3)):
         rb.record(name, _is_scalar(m * Pinv))
 
-    # The primed maps are the rho-conjugates of the unprimed ones:
+    # The primed maps are the rho-conjugates of the unprimed ones.  Two
+    # antiautomorphisms agree iff they agree on the generators A and B; rho
+    # (X -> P^-1 X P) cycles A -> B -> C -> A, so the composites take the
+    # dagger images of C, A (for rho o dagger o rho^-1) and of B, C (for
+    # rho^-1 o dagger o rho) from the action table.
+    rho = lambda x: Pinv * x * P
+    rho_inv = lambda x: P * x * Pinv
+    rb.record("dagger' = rho o dagger o rho^-1",
+              rho(images["dagger", "C"]) == images["dagger'", "A"]
+              and rho(images["dagger", "A"]) == images["dagger'", "B"])
+    rb.record("dagger'' = rho^-1 o dagger o rho",
+              rho_inv(images["dagger", "B"]) == images["dagger''", "A"]
+              and rho_inv(images["dagger", "C"]) == images["dagger''", "B"])
     # rho o xi_T o rho^-1 twists by P^dagger T P, rho^-1 o xi_T o rho by
     # (P^dagger)^{-1} T P^{-1}; two twists T, T' give the same
     # antiautomorphism iff T T'^{-1} is central.
     P_dag_inv = P_dag.inverse()
     for name, m, t_inv in (
-            ("dagger' = rho o dagger o rho^-1", P_dag * P, Pd_P_inv),
-            ("dagger'' = rho^-1 o dagger o rho", P_dag_inv * Pinv, P * P_dag),
             ("ddagger' = rho o ddagger o rho^-1", P_dag * w.W * P, w.W_prime),
             ("ddagger'' = rho^-1 o ddagger o rho",
              P_dag_inv * w.W * Pinv, braid_inv)):

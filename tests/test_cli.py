@@ -173,6 +173,29 @@ def test_json_number_scalars_rejected(capsys, tmp_path):
     assert code == 2 and "ParseError" in err
 
 
+def test_string_in_place_of_a_list_rejected(capsys, tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"field": "Q", "d": 3, "theta": "3113",
+                                "theta_star": "3113"}))
+    code, out, err = run(capsys, "verify", "-i", str(path))
+    assert code == 2 and "ParseError" in err and out == ""
+
+
+def test_string_matrix_rows_rejected(capsys, tmp_path):
+    arr_path = tmp_path / "arr.json"
+    sys_path = tmp_path / "sys.json"
+    run(capsys, "generate", "--family", "small-d1", "--d", "1",
+        "--field", "Q", "-o", str(arr_path))
+    code, _, _ = run(capsys, "build", "-i", str(arr_path), "-o", str(sys_path))
+    assert code == 0
+    doc = json.loads(sys_path.read_text())
+    assert doc["A"] == [["0", "1"], ["1", "0"]]
+    doc["A"] = ["01", "10"]
+    sys_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "-i", str(sys_path))
+    assert code == 2 and "ParseError" in err and out == ""
+
+
 def test_malformed_max_d_rejected(capsys, monkeypatch):
     monkeypatch.setenv("TB_TRIDIAG_MAX_D", "abc")
     code, _, err = run(capsys, "generate", "--family", "krawtchouk",

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tbtridiag.arrays import Family, generate_family
 from tbtridiag.errors import (DimensionMismatch, DuplicateEigenvalue,
                               NotAnnihilated, Singular)
 from tbtridiag.fields import (QQ, PrimeField, QQi, QuadraticExtension,
                               RationalField, parse_field)
 from tbtridiag.matrices import (Matrix, algebra_dimension, anticommutator,
                                 column, commutator, diagonal, identity,
-                                lagrange_idempotents, poly_eval, zeros)
-from tbtridiag.system import dagger
+                                lagrange_idempotents, poly_eval,
+                                primitive_idempotents, rank_one_idempotents,
+                                zeros)
+from tbtridiag.system import build_system, dagger
 
 KRAW_A = Matrix(QQ, [[0, 3, 0, 0], [1, 0, 2, 0], [0, 2, 0, 1], [0, 0, 3, 0]])
 KRAW_THETA = [3, 1, -1, -3]
@@ -141,6 +144,68 @@ def test_idempotents_errors():
         lagrange_idempotents(KRAW_A, [1, 2, 3, 4])
 
 
+# Each family with the diameters it admits: Bannai/Ito and q-Racah-even need
+# even d, q-Racah-odd odd d.
+RANK_ONE_FAMILIES = [(Family.KRAWTCHOUK, range(1, 9)), (Family.BANNAI_ITO, range(2, 9, 2)),
+                     (Family.QRACAH_EVEN, range(2, 9, 2)), (Family.QRACAH_ODD, range(1, 9, 2))]
+
+
+@pytest.mark.parametrize("spec", ["Q", "Q(i)", "Q(sqrt:2)", "Fp:101", "Fp2:101"])
+def test_rank_one_idempotents_equal_lagrange(spec):
+    fld = parse_field(spec)
+    q = fld(2 if fld.characteristic == 0 else 5)
+    for family, diameters in RANK_ONE_FAMILIES:
+        for d in diameters:
+            kwargs = {"q": q} if family in (Family.QRACAH_EVEN, Family.QRACAH_ODD) else {}
+            arr = generate_family(fld, family, d, **kwargs)
+            a = build_system(arr).A
+            expected = lagrange_idempotents(a, arr.theta)
+            assert list(rank_one_idempotents(a, arr.theta)[0]) == expected, (family, d)
+            # a nonzero diagonal shifts every eigenvalue; the transpose swaps
+            # the roles of the right and left eigenvectors
+            shifted = a + identity(fld, d + 1) * 3
+            assert list(rank_one_idempotents(shifted, [t + 3 for t in arr.theta])[0]) \
+                == lagrange_idempotents(shifted, [t + 3 for t in arr.theta])
+            assert [e.transpose() for e in rank_one_idempotents(a.transpose(), arr.theta)[0]] \
+                == expected
+
+
+def test_rank_one_factors_rebuild_the_idempotents():
+    es, right, left = rank_one_idempotents(KRAW_A, KRAW_THETA)
+    gram = left * right
+    for i, e in enumerate(es):
+        u = Matrix(QQ, [[right[k, i]] for k in range(4)])
+        w = Matrix(QQ, [list(left.rows[i])])
+        assert e == u * w * gram[i, i].inverse()
+        assert all(gram[i, j].is_zero() for j in range(4) if j != i)
+
+
+def test_rank_one_idempotents_need_an_irreducible_tridiagonal():
+    off_band = Matrix(QQ, [[0, 3, 1, 0], [1, 0, 2, 0], [0, 2, 0, 1], [0, 0, 3, 0]])
+    reducible = Matrix(QQ, [[0, 3, 0, 0], [1, 0, 0, 0], [0, 2, 0, 1], [0, 0, 3, 0]])
+    assert rank_one_idempotents(off_band, KRAW_THETA) is None
+    assert rank_one_idempotents(reducible, KRAW_THETA) is None
+    assert rank_one_idempotents(Matrix(QQ, [[0, 1, 0], [1, 0, 1]]), [1, 2]) is None
+    assert rank_one_idempotents(KRAW_A, KRAW_THETA[:3]) is None
+
+
+def test_primitive_idempotents_pick_the_path():
+    assert primitive_idempotents(KRAW_A, KRAW_THETA) \
+        == rank_one_idempotents(KRAW_A, KRAW_THETA)[0]
+    x = diagonal(QQ, [5, 7, 11])
+    assert primitive_idempotents(x, [5, 7, 11]) == tuple(lagrange_idempotents(x, [5, 7, 11]))
+
+
+@pytest.mark.parametrize("idempotents", [lagrange_idempotents, rank_one_idempotents])
+def test_idempotent_paths_raise_alike(idempotents):
+    with pytest.raises(DuplicateEigenvalue):
+        idempotents(KRAW_A, [3, 3, -1, -3])
+    with pytest.raises(NotAnnihilated):
+        idempotents(KRAW_A, [3, 1, -1, 4])
+    with pytest.raises(NotAnnihilated):
+        idempotents(KRAW_A, [1, 2, 3, 4])
+
+
 def test_algebra_dimension_trivial_cases():
     assert algebra_dimension([identity(QQ, 3)], 3) == 1
     assert algebra_dimension([], 4) == 1
@@ -173,6 +238,13 @@ def test_algebra_dimension_extension_field_path():
     a = Matrix(Qi, [[Qi.zero, i], [-i, Qi.zero]])
     b = diagonal(Qi, [1, -1])
     assert algebra_dimension([a, b], 2) == 4
+
+
+def test_algebra_dimension_denominator_divisible_by_the_certificate_prime():
+    # the generators do not reduce mod 2^61 - 1, so only the exact path runs
+    a = KRAW_A * QQ(Fraction(1, (1 << 61) - 1))
+    assert algebra_dimension([a, diagonal(QQ, KRAW_THETA)], 4) == 16
+    assert algebra_dimension([a], 4) == 4
 
 
 def test_algebra_dimension_deficient_exact_fallback():

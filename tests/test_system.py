@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import tbtridiag
 
 from tbtridiag.arrays import (AskeyWilsonSeq, Family, aw_sequence,
                               aw_sequence_nonzero, generate_family,
                               validate_array)
 from tbtridiag.errors import NotSelfDual
 from tbtridiag.fields import QQ
-from tbtridiag.matrices import Matrix, column, diagonal, identity, zeros
+from tbtridiag.matrices import (Matrix, column, diagonal, identity,
+                                lagrange_idempotents, zeros)
 from tbtridiag.system import (build_system, dagger, dagger_report,
                               intersection_numbers, involutions_check,
                               isomorphic, raising_lowering, sd_isomorphism,
@@ -217,6 +223,72 @@ def test_sandwich_boundary_identity(k3, qr3):
                             assert m[i, j] == theta_star[j + t] * band[i, j]
                         elif j - i == r + t:
                             assert m[i, j] == theta_star[i + r] * band[i, j]
+
+
+def _dense_sandwich(s):
+    """The E_i A* E_j verdict from dense products of the Lagrange idempotents."""
+    E = lagrange_idempotents(s.A, s.array.theta)
+    n = s.d + 1
+    for i in range(n):
+        for j in range(n):
+            zero = (E[i] * s.A_star * E[j]).is_zero()
+            if abs(i - j) == 1 and zero:
+                return False, f"E_{i} A* E_{j} = 0"
+            if abs(i - j) != 1 and not zero:
+                return False, f"E_{i} A* E_{j} != 0"
+    return True, None
+
+
+@pytest.mark.parametrize("entry", [None, (0, 0, "7"), (0, 2, "5"), (3, 1, "-1/2"),
+                                   (1, 1, "-1")])
+def test_sandwich_scalars_agree_with_dense_products(k3, entry):
+    # verify_axioms decides E_i A* E_j != 0 from the scalars w_i^t A* u_j,
+    # also for a stored A* that is not diagonal
+    doc = emit_system(k3)
+    if entry is not None:
+        i, j, value = entry
+        doc["A_star"][i][j] = value
+    s = decode_system(doc)
+    check = next(c for c in verify_axioms(s) if c.name == "sandwich pattern: E_i A* E_j")
+    assert (check.passed, check.witness) == _dense_sandwich(s)
+    assert check.passed == (entry is None)
+
+
+_CORRUPTED_BUILD = """
+import sys
+from tbtridiag import system
+from tbtridiag.arrays import Family, generate_family
+from tbtridiag.errors import InvariantViolation
+from tbtridiag.fields import QQ
+
+if __debug__:
+    sys.exit("assertions are on")
+real = system.rank_one_idempotents
+
+
+def swapped(x, eigenvalues):
+    E, right, left = real(x, eigenvalues)
+    return (E[1], E[0]) + E[2:], right, left
+
+
+system.rank_one_idempotents = swapped
+try:
+    system.build_system(generate_family(QQ, Family.KRAWTCHOUK, 3))
+except InvariantViolation as exc:
+    print(exc)
+else:
+    sys.exit("the corrupted construction passed")
+"""
+
+
+def test_construction_invariants_hold_under_python_O():
+    # python -O strips assert statements; the construction checks must stay
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tbtridiag.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_BUILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "sum theta_i E_i != A" in done.stdout
 
 
 def test_nearest_neighbour_products_are_independent(k3):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from tbtridiag.errors import BetaInvalid, NoSquareRootInField, NotSelfDual
 from tbtridiag.fields import QQ, PrimeField, QQi
 from tbtridiag.matrices import Matrix, diagonal, identity
 from tbtridiag.system import build_system, dagger
+from tbtridiag import triple
 from tbtridiag.triple import (WData, antiautomorphism_report,
                               antiautomorphisms, braid_check, build_C,
                               build_W, expected_kappa, rho_automorphism,
@@ -198,6 +200,22 @@ def test_antiautomorphism_report_generic_case():
     system, tri, w = _triple(QQi(), Family.QRACAH_ODD, 3, q=2)
     report = antiautomorphism_report(system, tri, w)
     assert report.passed, report.failures()
+
+
+def test_rho_conjugate_checks_compare_the_maps(golden1, monkeypatch):
+    # with dagger' and dagger'' swapped, neither is the rho-conjugate of
+    # dagger it should be
+    real = triple._antiautomorphisms
+
+    def swapped(*args):
+        maps = real(*args)
+        return dataclasses.replace(maps, dagger_p=maps.dagger_pp, dagger_pp=maps.dagger_p)
+
+    monkeypatch.setattr(triple, "_antiautomorphisms", swapped)
+    system, tri, w = golden1
+    failed = {c.name for c in antiautomorphism_report(system, tri, w).failures()}
+    assert "dagger' = rho o dagger o rho^-1" in failed
+    assert "dagger'' = rho^-1 o dagger o rho" in failed
 
 
 def test_sigma_swaps(golden1, golden_bi4):

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (BannaiItoOddDiameter, BetaInvalid, CharacteristicTwo,
                      CharacteristicViolation, InvalidArray, LengthMismatch,
-                     NoBeta, QConditionViolation, Unclassifiable)
-from .fields import sort_key
+                     NoBeta, QConditionViolation, Unclassifiable, require)
 from .recurrences import basis_asym, solve_q
 
 
@@ -180,7 +179,8 @@ def aw_sequence_nonzero(arr):
     if beta is ANY_BETA:
         beta = arr.field(2)
     seq = aw_sequence(arr, beta)
-    assert not seq.rho.is_zero() and not seq.rho_star.is_zero()
+    require(not seq.rho.is_zero() and not seq.rho_star.is_zero(),
+            "rho or rho* vanishes")
     return seq
 
 

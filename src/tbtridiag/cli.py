@@ -14,8 +14,7 @@ import os
 import sys as _sys
 
 from . import serialize
-from .arrays import (Family, aw_sequence_nonzero, fundamental_parameter,
-                     is_self_dual, self_dualize, validate_array, ANY_BETA)
+from .arrays import Family, aw_sequence_nonzero, generate_family, self_dualize
 from .errors import InvalidArray, ParseError, TBTridiagError
 from .fields import parse_field
 from .report import CheckResult, VerificationReport, combine
@@ -96,8 +95,6 @@ def _array_table(arr):
 
 
 def cmd_generate(args):
-    from .arrays import generate_family
-
     fld = parse_field(args.field)
     _check_cap(args.d)
     arr = generate_family(fld, Family(args.family), args.d,
@@ -165,21 +162,23 @@ def cmd_verify(args):
     return 0 if report.passed else 1
 
 
-def cmd_triple(args):
-    doc = _read_doc(args.input)
-    if "theta" not in doc:
-        raise ParseError("triple expects an eigenvalue-array document")
-    arr = _load_array(doc)
-    if not is_self_dual(arr):
-        arr = self_dualize(arr)
-    system = build_system(arr)
-    beta = system.field.parse(args.beta) if args.beta else None
-    sc = triple_scalars(system, beta=beta)
-    tri = build_C(system, sc)
+def _complete_triple(system, beta):
+    """The Leonard-triple completion of a self-dual system and its report."""
+    tri = build_C(system, triple_scalars(system, beta=beta))
     w = build_W(tri)
     report = combine(braid_check(w),
                      antiautomorphism_report(system, tri, w),
                      sigma_and_psl2z(system, tri, w))
+    return tri, w, report
+
+
+def cmd_triple(args):
+    doc = _read_doc(args.input)
+    if "theta" not in doc:
+        raise ParseError("triple expects an eigenvalue-array document")
+    system = build_system(self_dualize(_load_array(doc)))
+    beta = system.field.parse(args.beta) if args.beta else None
+    tri, w, report = _complete_triple(system, beta)
     triple_doc = serialize.emit_triple(system, tri, w)
     if args.output:
         _write_out(serialize.dumps(triple_doc), args.output)
@@ -208,38 +207,29 @@ _SELFTEST_GRID = [
 ]
 
 _SELFTEST_TRIPLES = [
-    ("Q(i)", Family.KRAWTCHOUK, 3, {}, None),
-    ("Q", Family.BANNAI_ITO, 4, {}, None),
-    ("Q(i)", Family.QRACAH_ODD, 3, {"q": "2"}, None),
-    ("Fp:101", Family.KRAWTCHOUK, 3, {}, None),
+    ("Q(i)", Family.KRAWTCHOUK, 3, {}),
+    ("Q", Family.BANNAI_ITO, 4, {}),
+    ("Q(i)", Family.QRACAH_ODD, 3, {"q": "2"}),
+    ("Fp:101", Family.KRAWTCHOUK, 3, {}),
 ]
 
 
-def cmd_selftest(args):
-    from .arrays import generate_family
+def _selftest_system(spec, family, d, kwargs):
+    fld = parse_field(spec)
+    return build_system(generate_family(
+        fld, family, d, **{k: fld.parse(v) for k, v in kwargs.items()}))
 
+
+def cmd_selftest(args):
     failed = 0
-    for spec, family, d, kwargs in _SELFTEST_GRID:
-        fld = parse_field(spec)
-        arr = generate_family(fld, family, d,
-                              **{k: fld.parse(v) for k, v in kwargs.items()})
-        report = _full_verification(build_system(arr))
-        ok = report.passed
-        failed += not ok
-        print(f"{'PASS' if ok else 'FAIL'}  verify {family.value} d={d} over {spec}")
-    for spec, family, d, kwargs, beta in _SELFTEST_TRIPLES:
-        fld = parse_field(spec)
-        arr = generate_family(fld, family, d,
-                              **{k: fld.parse(v) for k, v in kwargs.items()})
-        system = build_system(arr)
-        sc = triple_scalars(system, beta=fld.parse(beta) if beta else None)
-        tri = build_C(system, sc)
-        w = build_W(tri)
-        report = combine(braid_check(w), antiautomorphism_report(system, tri, w),
-                         sigma_and_psl2z(system, tri, w))
-        ok = report.passed
-        failed += not ok
-        print(f"{'PASS' if ok else 'FAIL'}  triple {family.value} d={d} over {spec}")
+    for kind, grid, check in (
+            ("verify", _SELFTEST_GRID, _full_verification),
+            ("triple", _SELFTEST_TRIPLES,
+             lambda system: _complete_triple(system, None)[2])):
+        for spec, family, d, kwargs in grid:
+            ok = check(_selftest_system(spec, family, d, kwargs)).passed
+            failed += not ok
+            print(f"{'PASS' if ok else 'FAIL'}  {kind} {family.value} d={d} over {spec}")
     print(f"selftest: {failed} failures")
     return 1 if failed else 0
 

@@ -12,17 +12,17 @@ fields ``"n mod p"``, quadratic extensions ``"a+b*sqrt(d)"`` with ``a``, ``b``,
 ``d`` in the base encoding.  Field descriptors use the mini-language
 ``Q``, ``Q(i)``, ``Q(sqrt:D)``, ``Fp:p``, ``Fp2:p``.
 
-Each field also owns the raw kernel for matrix products over it,
-``_matmul(rows, cols)``: the left operand's rows and the right operand's
-columns go in as lists of raw values and the product comes out as rows of
-raw values, so a product boxes no entry in its inner loop.
+Each field also owns the raw kernels for matrix work over it, on lists of
+raw values so that no entry is boxed in an inner loop: ``_matmul(rows,
+cols)``, the product of the left operand's rows with the right operand's
+columns, and ``_sub_scaled(vec, x, row)``, the elimination step vec - x*row.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from .errors import DivisionByZero, FieldMismatch, NoSquareRootInField, ParseError
+from .errors import DivisionByZero, FieldMismatch, ParseError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all thirteen bases above
@@ -145,9 +145,6 @@ class FieldElement:
     def is_zero(self):
         return self.value == self.field._zero_raw
 
-    def is_one(self):
-        return self.value == self.field._one_raw
-
     def inverse(self):
         return FieldElement(self.field, self.field._inv(self.value))
 
@@ -217,13 +214,10 @@ class Field:
             r = self._neg(r)
         return FieldElement(self, r)
 
-    def require_sqrt(self, elem, what="value"):
-        r = self.sqrt(elem)
-        if r is None:
-            raise NoSquareRootInField(
-                f"{what} {self.encode(self(elem))} has no square root in {self}; "
-                f"extend the field (e.g. by sqrt of that value)")
-        return r
+    def _sub_scaled(self, vec, x, row):
+        """vec - x * row on raw values: the row update of an elimination."""
+        sub, mul = self._sub, self._mul
+        return [sub(a, mul(x, b)) for a, b in zip(vec, row)]
 
     def _powraw(self, v, n):
         out = self._one_raw
@@ -350,6 +344,10 @@ class PrimeField(Field):
         # Residues are nonnegative ints: reduce each dot product once.
         p = self.p
         return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
+
+    def _sub_scaled(self, vec, x, row):
+        p = self.p
+        return [(a - x * b) % p for a, b in zip(vec, row)]
 
     def _encode_raw(self, v):
         return f"{v} mod {self.p}"
@@ -599,6 +597,8 @@ def QQi():
 
 def parse_field(spec):
     """Parse a field descriptor: Q, Q(i), Q(sqrt:D), Fp:p, Fp2:p."""
+    if not isinstance(spec, str):
+        raise ParseError(f"field descriptors are strings, got {spec!r}")
     spec = spec.strip()
     if spec == "Q":
         return QQ

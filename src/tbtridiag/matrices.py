@@ -4,10 +4,11 @@ Matrices are immutable tuples of tuples of field elements, and entries stay
 ``FieldElement``s at the API: indexing, encoding and scalars.  All
 operations are exact; equality is entrywise structural equality.  The hot
 operations, products and inversion, unbox the entries once, run on the
-field's raw values (a product through the field's own ``_matmul`` kernel)
-and box the result once.  The module also provides the spectral toolkit used
-throughout: polynomial evaluation at a matrix, primitive idempotents, and the
-dimension of the unital algebra generated by a set of matrices.
+field's raw values (a product through the field's own ``_matmul`` kernel,
+each elimination step through its ``_sub_scaled``) and box the result once.
+The module also provides the spectral toolkit used throughout: polynomial
+evaluation at a matrix, primitive idempotents, and the dimension of the
+unital algebra generated by a set of matrices.
 
 Primitive idempotents come two ways.  For an irreducible tridiagonal matrix
 each one has rank one, and ``rank_one_idempotents`` builds it from its right
@@ -22,7 +23,7 @@ from math import gcd
 
 from .errors import (DimensionMismatch, DuplicateEigenvalue, FieldMismatch,
                      NotAnnihilated, Singular)
-from .fields import FieldElement, PrimeField, QuadraticExtension, RationalField
+from .fields import FieldElement, PrimeField, RationalField
 
 
 class Matrix:
@@ -134,7 +135,8 @@ class Matrix:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.nrows
         field = self.field
-        sub, mul, zero, one = field._sub, field._mul, field._zero_raw, field._one_raw
+        mul, sub_scaled = field._mul, field._sub_scaled
+        zero, one = field._zero_raw, field._one_raw
         work = self.raw_rows()
         out = [[one if i == j else zero for j in range(n)] for i in range(n)]
         for i in range(n):
@@ -150,8 +152,8 @@ class Matrix:
             for k in range(n):
                 f = work[k][i]
                 if k != i and f != zero:
-                    work[k] = [sub(a, mul(f, b)) for a, b in zip(work[k], wi)]
-                    out[k] = [sub(a, mul(f, b)) for a, b in zip(out[k], oi)]
+                    work[k] = sub_scaled(work[k], f, wi)
+                    out[k] = sub_scaled(out[k], f, oi)
         return Matrix.from_raw(field, out)
 
     def raw_rows(self):
@@ -345,33 +347,6 @@ def primitive_idempotents(x, eigenvalues):
 _CERT_FIELD = PrimeField((1 << 61) - 1)
 
 
-class _GFEchelon:
-    """Echelon basis over a prime field; rows are residue lists."""
-
-    def __init__(self, p):
-        self.p = p
-        self.pivots = {}
-        self.rank = 0
-
-    def add(self, vec):
-        p = self.p
-        pivots = self.pivots
-        n = len(vec)
-        j = 0
-        while j < n:
-            x = vec[j]
-            if x:
-                prow = pivots.get(j)
-                if prow is None:
-                    inv = pow(x, -1, p)
-                    pivots[j] = [v * inv % p for v in vec]
-                    self.rank += 1
-                    return True
-                vec = [(a - x * b) % p for a, b in zip(vec, prow)]
-            j += 1
-        return False
-
-
 class _ExactIntEchelon:
     """Fraction-free echelon basis over Q; rows are content-reduced int lists."""
 
@@ -424,7 +399,7 @@ class _ExactIntEchelon:
 
 
 class _FieldEchelon:
-    """Generic echelon basis; rows are raw-value lists of the field."""
+    """Echelon basis over any field; rows are raw-value lists of the field."""
 
     def __init__(self, field):
         self.field = field
@@ -433,7 +408,7 @@ class _FieldEchelon:
 
     def add(self, vec):
         f = self.field
-        sub, mul, zero = f._sub, f._mul, f._zero_raw
+        mul, sub_scaled, zero = f._mul, f._sub_scaled, f._zero_raw
         pivots = self.pivots
         n = len(vec)
         j = 0
@@ -446,22 +421,26 @@ class _FieldEchelon:
                     pivots[j] = [mul(v, xinv) for v in vec]
                     self.rank += 1
                     return True
-                vec = [sub(a, mul(x, b)) for a, b in zip(vec, prow)]
+                vec = sub_scaled(vec, x, prow)
             j += 1
         return False
 
 
-def _closure_rank(field, gens, n, echelon, vectorize):
+def _flat_raw(m):
+    return [e.value for row in m.rows for e in row]
+
+
+def _closure_rank(field, gens, n, echelon):
     cap = n * n
     eye = identity(field, n)
     work = deque()
-    if echelon.add(vectorize(eye)):
+    if echelon.add(_flat_raw(eye)):
         work.append(eye)
     while work and echelon.rank < cap:
         x = work.popleft()
         for g in gens:
             y = x * g
-            if echelon.add(vectorize(y)):
+            if echelon.add(_flat_raw(y)):
                 if echelon.rank >= cap:
                     return cap
                 work.append(y)
@@ -480,12 +459,6 @@ def algebra_dimension(generators, n):
         if g.shape != (n, n):
             raise DimensionMismatch(f"generator of shape {g.shape}, expected {(n, n)}")
 
-    def raw_vec(m):
-        return [e.value for row in m.rows for e in row]
-
-    if isinstance(field, PrimeField):
-        return _closure_rank(field, gens, n, _GFEchelon(field.p), raw_vec)
-
     if isinstance(field, RationalField):
         # Full rank mod a large prime certifies full rank over Q: reduce the
         # generators once and close over F_p.  On a deficient rank, or a
@@ -497,8 +470,8 @@ def algebra_dimension(generators, n):
                                        [[f.numerator * pow(f.denominator, -1, p) % p
                                          for f in row] for row in rows])
                        for rows in raw]
-            if _closure_rank(_CERT_FIELD, reduced, n, _GFEchelon(p), raw_vec) == n * n:
+            if _closure_rank(_CERT_FIELD, reduced, n, _FieldEchelon(_CERT_FIELD)) == n * n:
                 return n * n
-        return _closure_rank(field, gens, n, _ExactIntEchelon(), raw_vec)
+        return _closure_rank(field, gens, n, _ExactIntEchelon())
 
-    return _closure_rank(field, gens, n, _FieldEchelon(field), raw_vec)
+    return _closure_rank(field, gens, n, _FieldEchelon(field))

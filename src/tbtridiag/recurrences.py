@@ -8,7 +8,7 @@ antisymmetric basis sequence, both given in closed form per beta case.
 
 from dataclasses import dataclass
 
-from .errors import CharacteristicTwo, NoQInField, NotRecurrent
+from .errors import CharacteristicTwo, NoQInField, NotRecurrent, require
 from .fields import FieldElement, sort_key
 
 
@@ -52,7 +52,8 @@ def recurrence_constant(seq):
     v, beta = seq.values, seq.beta
     c = v[0] * v[0] - beta * v[0] * v[1] + v[1] * v[1]
     for i in range(2, len(v)):
-        assert v[i - 1] * v[i - 1] - beta * v[i - 1] * v[i] + v[i] * v[i] == c
+        require(v[i - 1] * v[i - 1] - beta * v[i - 1] * v[i] + v[i] * v[i] == c,
+                "s_{i-1}^2 - beta s_{i-1} s_i + s_i^2 depends on i")
     return c
 
 

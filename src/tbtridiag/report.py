@@ -70,11 +70,5 @@ class ReportBuilder:
                     return
         self.record(name, True)
 
-    def matrix_nonzero(self, name, m):
-        if m.is_zero():
-            self.record(name, False, "matrix vanishes")
-        else:
-            self.record(name, True)
-
     def build(self):
         return VerificationReport(tuple(self._checks))

@@ -83,7 +83,7 @@ def decode_array(doc):
                 q=fld.parse(tag_doc["q"]) if "q" in tag_doc else None,
                 beta=fld.parse(tag_doc["beta"]) if "beta" in tag_doc else None,
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed family tag: {exc}") from None
         arr = arr.with_family(tag)
     return arr

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from .arrays import aw_sequence, fundamental_parameter, is_self_dual, ANY_BETA
 from .errors import (BetaInvalid, KappaMismatch, NoSquareRootInField,
                      NotSelfDual, RelationViolation, require)
-from .matrices import (Matrix, identity, lagrange_idempotents,
-                       primitive_idempotents, zeros)
+from .matrices import Matrix, diagonal, identity, primitive_idempotents
 from .recurrences import solve_q
 from .report import ReportBuilder
 from .system import dagger, dagger_map
@@ -70,7 +69,7 @@ class WData:
     kappa: object
 
 
-def triple_scalars(sys, beta=None, q=None):
+def triple_scalars(sys, beta=None):
     """Extract (beta, rho, h, z, q) for a self-dual system.
 
     For d <= 2 every scalar is a fundamental parameter; the case is chosen by
@@ -107,16 +106,11 @@ def triple_scalars(sys, beta=None, q=None):
         zsq = rho
         q = None
     else:
+        q = solve_q(beta)
         if q is None:
-            q = solve_q(beta)
-            if q is None:
-                raise NoSquareRootInField(
-                    f"no q in {fld} with q^2 + q^-2 = {beta}; extend the field "
-                    "by a root of t^2 - beta*t + 1 and its square root")
-        else:
-            q = fld(q)
-            if q * q + (q * q).inverse() != beta:
-                raise BetaInvalid(f"q = {q} does not match beta = {beta}")
+            raise NoSquareRootInField(
+                f"no q in {fld} with q^2 + q^-2 = {beta}; extend the field "
+                "by a root of t^2 - beta*t + 1 and its square root")
         h = theta[0] / (q ** d - q ** (-d))
         require(all(theta[i] == h * (q ** (d - 2 * i) - q ** (2 * i - d))
                     for i in range(d + 1)), "theta_i != h (q^(d-2i) - q^(2i-d))")
@@ -161,10 +155,11 @@ def build_C(sys, sc):
         if lhs != rhs:
             raise RelationViolation(f"cyclic relation {k} failed for case {sc.case}")
     theta = sys.array.theta
-    E_prime = tuple(lagrange_idempotents(B, theta))
+    # B = A* is diagonal, so its primitive idempotents are the matrix units
+    require(B == diagonal(fld, theta), "A* != diag(theta)")
     # C is tridiagonal with zero diagonal, like A
     E_dprime = primitive_idempotents(C, theta)
-    return LeonardTriple(A, B, C, tuple(sys.E), E_prime, E_dprime, sc)
+    return LeonardTriple(A, B, C, tuple(sys.E), sys.E_star, E_dprime, sc)
 
 
 def _weights(sc, d):
@@ -241,9 +236,7 @@ def braid_check(w):
     return rb.build()
 
 
-def _dagger_conjugation(dag, t, tinv=None):
-    if tinv is None:
-        tinv = t.inverse()
+def _dagger_conjugation(dag, t, tinv):
     return lambda x: tinv * dag(x) * t
 
 
@@ -263,18 +256,21 @@ def antiautomorphisms(sys, tri, w):
     """The maps X -> T^{-1} X^dagger T for T = I, P^dagger P, (P P^dagger)^{-1},
     W, W'^{-1}, W W' W."""
     dag = dagger_map(sys)
-    return _antiautomorphisms(dag, w, dag(w.P), w.W_prime.inverse())
+    P_dag = dag(w.P)
+    return _antiautomorphisms(dag, w, P_dag, w.W_prime.inverse(),
+                              (P_dag * w.P).inverse(),
+                              (w.W * w.W_prime * w.W).inverse())
 
 
-def _antiautomorphisms(dag, w, P_dag, Wp_inv, Pd_P_inv=None, braid_inv=None):
-    """antiautomorphisms from the dagger map, P^dagger and W'^{-1}, reusing
-    the inverses (P^dagger P)^{-1} and (W W' W)^{-1} when the caller has them."""
+def _antiautomorphisms(dag, w, P_dag, Wp_inv, Pd_P_inv, braid_inv):
+    """antiautomorphisms from the dagger map, P^dagger and the inverses of
+    W', P^dagger P and W W' W."""
     P_Pd = w.P * P_dag
     return AntiAutomorphisms(
         dagger=dag,
         dagger_p=_dagger_conjugation(dag, P_dag * w.P, Pd_P_inv),
         dagger_pp=_dagger_conjugation(dag, P_Pd.inverse(), P_Pd),
-        ddagger=_dagger_conjugation(dag, w.W),
+        ddagger=_dagger_conjugation(dag, w.W, w.W.inverse()),
         ddagger_p=_dagger_conjugation(dag, Wp_inv, w.W_prime),
         ddagger_pp=_dagger_conjugation(dag, w.W * w.W_prime * w.W, braid_inv),
     )

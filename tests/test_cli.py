@@ -201,3 +201,50 @@ def test_malformed_max_d_rejected(capsys, monkeypatch):
     code, _, err = run(capsys, "generate", "--family", "krawtchouk",
                        "--d", "3", "--field", "Q")
     assert code == 2 and "ParseError" in err and "TB_TRIDIAG_MAX_D" in err
+
+
+def test_non_string_field_descriptor_rejected(capsys, tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"field": 5, "d": 1, "theta": ["1", "-1"],
+                                "theta_star": ["1", "-1"]}))
+    code, out, err = run(capsys, "verify", "-i", str(path))
+    assert code == 2 and "ParseError" in err and out == ""
+
+
+def test_string_family_tag_rejected(capsys, tmp_path):
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"field": "Q", "d": 3, "theta": ["3", "1", "-1", "-3"],
+                                "theta_star": ["3", "1", "-1", "-3"],
+                                "family": "krawtchouk"}))
+    code, out, err = run(capsys, "verify", "-i", str(path))
+    assert code == 2 and "ParseError" in err and out == ""
+
+
+def test_verify_reducible_system_names_the_algebra_dimension(capsys, tmp_path):
+    arr_path = tmp_path / "arr.json"
+    sys_path = tmp_path / "sys.json"
+    run(capsys, "generate", "--family", "krawtchouk", "--d", "5",
+        "--field", "Q", "-o", str(arr_path))
+    code, _, _ = run(capsys, "build", "-i", str(arr_path), "-o", str(sys_path))
+    assert code == 0
+    doc = json.loads(sys_path.read_text())
+    doc["A"][1][2] = doc["A"][2][1] = "0"
+    sys_path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "-i", str(sys_path))
+    assert code == 1
+    assert ("FAIL  A, A* generate the full matrix algebra  "
+            "[algebra dimension 20 != 36]") in out.splitlines()
+
+
+def test_selftest(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    grid = ["verify small-d1 d=1 over Q", "verify small-d2 d=2 over Q",
+            "verify krawtchouk d=3 over Q", "verify krawtchouk d=4 over Q",
+            "verify bannai-ito d=2 over Q", "verify bannai-ito d=4 over Q",
+            "verify qracah-even d=4 over Q", "verify qracah-odd d=3 over Q",
+            "verify krawtchouk d=3 over Fp:101", "verify bannai-ito d=4 over Fp:101",
+            "verify qracah-even d=4 over Fp:101", "verify qracah-odd d=3 over Fp:101",
+            "triple krawtchouk d=3 over Q(i)", "triple bannai-ito d=4 over Q",
+            "triple qracah-odd d=3 over Q(i)", "triple krawtchouk d=3 over Fp:101"]
+    assert out.splitlines() == [f"PASS  {row}" for row in grid] + ["selftest: 0 failures"]

@@ -256,6 +256,17 @@ def test_algebra_dimension_deficient_exact_fallback():
     assert dim < 16
 
 
+@pytest.mark.parametrize("rows, dim", [
+    ([[0, 3, 0, 0], [1, 0, 2, 0], [0, 2, 0, 1], [0, 0, 3, 0]], 16),
+    ([[0, 3, 0, 0], [1, 0, 0, 0], [0, 2, 0, 1], [0, 0, 3, 0]], 12),
+])
+def test_algebra_dimension_agrees_across_fields(rows, dim):
+    for spec in ("Q", "Fp:1000003", "Q(i)", "Fp2:103"):
+        fld = parse_field(spec)
+        gens = [Matrix(fld, rows), diagonal(fld, KRAW_THETA)]
+        assert algebra_dimension(gens, 4) == dim, spec
+
+
 # ---------------------------------------------------------------------------
 # the raw kernels against boxed references
 #
@@ -392,3 +403,15 @@ def test_kernels_over_many_denominators(spec):
     assert _typed(x * y) == _typed(_boxed_mul(x, y))
     square = x.transpose() * x
     assert _typed(square.inverse()) == _typed(_boxed_inverse(square))
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sub_scaled_matches_boxed_reference(spec, data):
+    fld = parse_field(spec)
+    vec, row = data.draw(_matrices(fld, 2, data.draw(st.integers(1, 6)))).rows
+    x = data.draw(_elements(fld))
+    got = fld._sub_scaled([e.value for e in vec], x.value, [e.value for e in row])
+    expected = [a - x * b for a, b in zip(vec, row)]
+    assert _typed(Matrix.from_raw(fld, [got])) == _typed(Matrix(fld, [expected]))

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tbtridiag
 from tbtridiag.errors import CharacteristicTwo, NoQInField, NotRecurrent
 from tbtridiag.fields import QQ, PrimeField
 from tbtridiag.recurrences import (basis_asym, basis_sym, make_recurrent,
@@ -121,3 +125,31 @@ def test_characteristic_two_rejected():
         sym_asym_split([F2(1), F2(0)], F2(1))
     with pytest.raises(CharacteristicTwo):
         basis_sym(F2, F2(0), 2)
+
+
+_NOT_RECURRENT = """
+import sys
+from tbtridiag.errors import InvariantViolation
+from tbtridiag.fields import QQ
+from tbtridiag.recurrences import RecurrentSeq, recurrence_constant
+
+if __debug__:
+    sys.exit("assertions are on")
+# 1, 2, 4 is not 2-recurrent: 1 - 2*2 + 4 != 0
+seq = RecurrentSeq(QQ(2), (QQ(1), QQ(2), QQ(4)), False, False, True)
+try:
+    recurrence_constant(seq)
+except InvariantViolation as exc:
+    print(exc)
+else:
+    sys.exit("a non-recurrent sequence got a recurrence constant")
+"""
+
+
+def test_recurrence_constant_checks_hold_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tbtridiag.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", _NOT_RECURRENT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "depends on i" in done.stdout

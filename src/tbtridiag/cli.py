@@ -145,8 +145,10 @@ def cmd_verify(args):
     doc = _read_doc(args.input)
     try:
         if "A" in doc:
-            system = serialize.decode_system(doc)
-            _check_cap(system.d)
+            # the cap comes first: decoding builds every idempotent
+            arr = serialize.system_array(doc)
+            _check_cap(arr.d)
+            system = serialize.decode_system(doc, arr)
         elif "theta" in doc:
             system = build_system(_load_array(doc))
         else:

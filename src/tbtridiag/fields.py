@@ -7,7 +7,8 @@ equality and results are reproducible byte for byte.  Supported fields:
 * ``PrimeField(p)`` -- integers mod a prime, canonical residue in ``[0, p)``,
 * ``QuadraticExtension(base, d)`` -- ``base(sqrt(d))`` for a nonsquare ``d``.
 
-Text encodings (used by all JSON I/O): rationals ``"p/q"`` or ``"n"``, prime
+Text encodings (used by all JSON I/O): rationals ``"p/q"`` or ``"n"`` in
+decimal digits with an optional leading ``-`` and nothing else, prime
 fields ``"n mod p"``, quadratic extensions ``"a+b*sqrt(d)"`` with ``a``, ``b``,
 ``d`` in the base encoding.  Field descriptors use the mini-language
 ``Q``, ``Q(i)``, ``Q(sqrt:D)``, ``Fp:p``, ``Fp2:p``.
@@ -18,11 +19,14 @@ cols)``, the product of the left operand's rows with the right operand's
 columns, and ``_sub_scaled(vec, x, row)``, the elimination step vec - x*row.
 """
 
+import re
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all thirteen bases above
@@ -279,8 +283,12 @@ class RationalField(Field):
         return str(v)
 
     def _parse_raw(self, text):
+        if not _RATIONAL.fullmatch(text):
+            raise ParseError(f"bad rational {text!r}: expected n or p/q, "
+                             "optionally with a leading -")
+        num, _, den = text.partition("/")
         try:
-            return Fraction(text)
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {text!r}: {exc}") from None
 

@@ -1,11 +1,15 @@
 """Dense exact matrices over any supported field.
 
-Matrices are immutable tuples of tuples of field elements, and entries stay
-``FieldElement``s at the API: indexing, encoding and scalars.  All
-operations are exact; equality is entrywise structural equality.  The hot
-operations, products and inversion, unbox the entries once, run on the
-field's raw values (a product through the field's own ``_matmul`` kernel,
-each elimination step through its ``_sub_scaled``) and box the result once.
+A matrix is immutable: its field and one tuple of row tuples of the field's
+raw values (a ``Fraction`` over Q, a residue ``int`` over F_p, an ``(a, b)``
+pair over a quadratic extension; see fields.py).  Every operation runs on
+those values: sums, differences, negation and scalar multiples through the
+field's ``_add``, ``_sub``, ``_neg`` and ``_mul``, products through its
+``_matmul`` kernel, each elimination step through its ``_sub_scaled``, and
+equality, hashing, transposition and the zero test on the raw tuples.  All
+operations are exact; equality is entrywise structural equality.  Entries
+are ``FieldElement``s only at the API: ``m[i, j]`` and the ``rows`` view box
+them, and ``Matrix(field, rows)`` coerces its input and unboxes it.
 The module also provides the spectral toolkit used throughout: polynomial
 evaluation at a matrix, primitive idempotents, and the dimension of the
 unital algebra generated by a set of matrices.
@@ -27,79 +31,95 @@ from .fields import FieldElement, PrimeField, RationalField
 
 
 class Matrix:
-    """An exact matrix over a fixed field."""
+    """An exact matrix over a fixed field.
 
-    __slots__ = ("field", "rows")
+    ``raw`` is a tuple of row tuples of the field's raw values; ``m[i, j]``
+    and ``rows`` box them as ``FieldElement``s.
+    """
+
+    __slots__ = ("field", "raw")
 
     def __init__(self, field, rows):
         coerce = field.__call__
-        self.field = field
-        self.rows = tuple(tuple(coerce(e) for e in row) for row in rows)
-        if not self.rows or not self.rows[0]:
+        raw = tuple(tuple(coerce(e).value for e in row) for row in rows)
+        if not raw or not raw[0]:
             raise DimensionMismatch("empty matrix")
-        m = len(self.rows[0])
-        if any(len(r) != m for r in self.rows):
+        m = len(raw[0])
+        if any(len(r) != m for r in raw):
             raise DimensionMismatch("ragged rows")
+        self.field = field
+        self.raw = raw
+
+    @classmethod
+    def from_raw(cls, field, rows):
+        """The matrix with these raw values of field, taken without coercion."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.raw = tuple(map(tuple, rows))
+        return m
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.raw)
 
     @property
     def ncols(self):
-        return len(self.rows[0])
+        return len(self.raw[0])
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self):
+        """The entries as a tuple of row tuples of FieldElements."""
+        field = self.field
+        return tuple(tuple(FieldElement(field, v) for v in r) for r in self.raw)
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return FieldElement(self.field, self.raw[i][j])
 
     def _check_same_field(self, other):
         if other.field != self.field:
             raise FieldMismatch("matrices over different fields")
 
-    def __add__(self, other):
+    def _entrywise(self, other, op, name):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_field(other)
         if self.shape != other.shape:
-            raise DimensionMismatch(f"add {self.shape} vs {other.shape}")
-        return _wrap(self.field,
-                     [[a + b for a, b in zip(r1, r2)]
-                      for r1, r2 in zip(self.rows, other.rows)])
+            raise DimensionMismatch(f"{name} {self.shape} vs {other.shape}")
+        return Matrix.from_raw(self.field, [map(op, r1, r2)
+                                            for r1, r2 in zip(self.raw, other.raw)])
+
+    def __add__(self, other):
+        return self._entrywise(other, self.field._add, "add")
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"sub {self.shape} vs {other.shape}")
-        return _wrap(self.field,
-                     [[a - b for a, b in zip(r1, r2)]
-                      for r1, r2 in zip(self.rows, other.rows)])
+        return self._entrywise(other, self.field._sub, "sub")
 
     def __neg__(self):
-        return _wrap(self.field, [[-a for a in r] for r in self.rows])
+        neg = self.field._neg
+        return Matrix.from_raw(self.field, [map(neg, r) for r in self.raw])
 
     def __mul__(self, other):
+        field = self.field
         if isinstance(other, Matrix):
             self._check_same_field(other)
             if self.ncols != other.nrows:
                 raise DimensionMismatch(f"mul {self.shape} vs {other.shape}")
-            cols = list(zip(*other.raw_rows()))
-            return Matrix.from_raw(self.field, self.field._matmul(self.raw_rows(), cols))
+            return Matrix.from_raw(field, field._matmul(self.raw, list(zip(*other.raw))))
         # scalar
-        s = self.field(other)
-        return _wrap(self.field, [[a * s for a in r] for r in self.rows])
+        s, mul = field(other).value, field._mul
+        return Matrix.from_raw(field, [[mul(a, s) for a in r] for r in self.raw])
 
     def __rmul__(self, other):
         if isinstance(other, Matrix):
             return NotImplemented
-        s = self.field(other)
-        return _wrap(self.field, [[s * a for a in r] for r in self.rows])
+        field = self.field
+        s, mul = field(other).value, field._mul
+        return Matrix.from_raw(field, [[mul(s, a) for a in r] for r in self.raw])
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -118,16 +138,17 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return self.field == other.field and self.raw == other.raw
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        return hash((self.field, self.raw))
 
     def transpose(self):
-        return _wrap(self.field, list(zip(*self.rows)))
+        return Matrix.from_raw(self.field, zip(*self.raw))
 
     def is_zero(self):
-        return all(e.is_zero() for r in self.rows for e in r)
+        zero_row = (self.field._zero_raw,) * self.ncols
+        return all(r == zero_row for r in self.raw)
 
     def inverse(self):
         """Exact inverse by Gauss-Jordan elimination; raises Singular."""
@@ -137,7 +158,7 @@ class Matrix:
         field = self.field
         mul, sub_scaled = field._mul, field._sub_scaled
         zero, one = field._zero_raw, field._one_raw
-        work = self.raw_rows()
+        work = list(self.raw)
         out = [[one if i == j else zero for j in range(n)] for i in range(n)]
         for i in range(n):
             piv = next((k for k in range(i, n) if work[k][i] != zero), None)
@@ -156,48 +177,27 @@ class Matrix:
                     out[k] = sub_scaled(out[k], f, oi)
         return Matrix.from_raw(field, out)
 
-    def raw_rows(self):
-        """The entries' raw values (see fields.py), as a list of row lists."""
-        return [[e.value for e in r] for r in self.rows]
-
-    @classmethod
-    def from_raw(cls, field, rows):
-        """The matrix with these raw values of field, boxed without coercion."""
-        m = cls.__new__(cls)
-        m.field = field
-        m.rows = tuple(tuple(FieldElement(field, v) for v in r) for r in rows)
-        return m
-
     def __repr__(self):
-        body = "; ".join(", ".join(str(e) for e in row) for row in self.rows)
+        enc = self.field._encode_raw
+        body = "; ".join(", ".join(map(enc, row)) for row in self.raw)
         return f"Matrix({self.field}, [{body}])"
 
 
-def _wrap(field, rows):
-    m = Matrix.__new__(Matrix)
-    m.field = field
-    m.rows = tuple(tuple(r) for r in rows)
-    return m
-
-
 def identity(field, n):
-    one, zero = field.one, field.zero
-    return _wrap(field, [[one if i == j else zero for j in range(n)]
-                         for i in range(n)])
+    return diagonal(field, [field.one] * n)
 
 
 def zeros(field, n, m=None):
-    zero = field.zero
-    m = n if m is None else m
-    return _wrap(field, [[zero] * m for _ in range(n)])
+    return Matrix.from_raw(field, [[field._zero_raw] * (n if m is None else m)
+                                   for _ in range(n)])
 
 
 def diagonal(field, entries):
-    entries = [field(e) for e in entries]
-    zero = field.zero
+    entries = [field(e).value for e in entries]
+    zero = field._zero_raw
     n = len(entries)
-    return _wrap(field, [[entries[i] if i == j else zero for j in range(n)]
-                         for i in range(n)])
+    return Matrix.from_raw(field, [[entries[i] if i == j else zero for j in range(n)]
+                                   for i in range(n)])
 
 
 def column(field, entries):
@@ -296,7 +296,7 @@ def rank_one_idempotents(x, eigenvalues):
     n = x.nrows
     if x.ncols != n or len(thetas) != n:
         return None
-    rows = x.raw_rows()
+    rows = x.raw
     zero = field._zero_raw
     # nonzero exactly on the sub- and superdiagonal; the diagonal is free
     for i, row in enumerate(rows):
@@ -427,7 +427,7 @@ class _FieldEchelon:
 
 
 def _flat_raw(m):
-    return [e.value for row in m.rows for e in row]
+    return [v for row in m.raw for v in row]
 
 
 def _closure_rank(field, gens, n, echelon):
@@ -464,12 +464,11 @@ def algebra_dimension(generators, n):
         # generators once and close over F_p.  On a deficient rank, or a
         # denominator the prime divides, redo the closure exactly.
         p = _CERT_FIELD.p
-        raw = [g.raw_rows() for g in gens]
-        if all(f.denominator % p for rows in raw for row in rows for f in row):
+        if all(f.denominator % p for g in gens for row in g.raw for f in row):
             reduced = [Matrix.from_raw(_CERT_FIELD,
                                        [[f.numerator * pow(f.denominator, -1, p) % p
-                                         for f in row] for row in rows])
-                       for rows in raw]
+                                         for f in row] for row in g.raw])
+                       for g in gens]
             if _closure_rank(_CERT_FIELD, reduced, n, _FieldEchelon(_CERT_FIELD)) == n * n:
                 return n * n
         return _closure_rank(field, gens, n, _ExactIntEchelon())

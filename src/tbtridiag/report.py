@@ -55,18 +55,19 @@ class ReportBuilder:
         if lhs == rhs:
             self.record(name, True)
             return
-        for i, (r1, r2) in enumerate(zip(lhs.rows, rhs.rows)):
+        for i, (r1, r2) in enumerate(zip(lhs.raw, rhs.raw)):
             for j, (a, b) in enumerate(zip(r1, r2)):
                 if a != b:
-                    self.record(name, False, f"entry ({i},{j}): {a} != {b}")
+                    self.record(name, False, f"entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}")
                     return
         self.record(name, False, "shape mismatch")
 
     def matrix_zero(self, name, m):
-        for i, row in enumerate(m.rows):
-            for j, e in enumerate(row):
-                if not e.is_zero():
-                    self.record(name, False, f"entry ({i},{j}) = {e} != 0")
+        zero = m.field._zero_raw
+        for i, row in enumerate(m.raw):
+            for j, v in enumerate(row):
+                if v != zero:
+                    self.record(name, False, f"entry ({i},{j}) = {m[i, j]} != 0")
                     return
         self.record(name, True)
 

@@ -24,7 +24,8 @@ def _enc_elems(fld, elems):
 
 
 def _enc_matrix(fld, m):
-    return [[fld.encode(e) for e in row] for row in m.rows]
+    enc = fld._encode_raw
+    return [[enc(v) for v in row] for row in m.raw]
 
 
 def _dec_elems(fld, items):
@@ -102,16 +103,26 @@ def emit_system(sys):
     return doc
 
 
-def decode_system(doc):
+def system_array(doc):
+    """The eigenvalue array of a system document, decoded."""
+    try:
+        return decode_array(doc["array"])
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed system document: {exc}") from None
+
+
+def decode_system(doc, arr=None):
     """Load a system document without enforcing construction identities.
 
     Stored matrices are taken as-is so that verification can report on
     hand-edited documents; idempotents of a non-diagonalizable A are left
-    unset rather than raising.
+    unset rather than raising.  arr is system_array(doc) when the caller
+    has already decoded it.
     """
+    if arr is None:
+        arr = system_array(doc)
+    fld = arr.field
     try:
-        arr = decode_array(doc["array"])
-        fld = arr.field
         inters = IntersectionNumbers(
             *(tuple(_dec_elems(fld, doc[key])) for key in ("c", "b", "c_star", "b_star")))
         A = _dec_matrix(fld, doc["A"])

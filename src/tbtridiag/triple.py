@@ -256,37 +256,30 @@ def antiautomorphisms(sys, tri, w):
     """The maps X -> T^{-1} X^dagger T for T = I, P^dagger P, (P P^dagger)^{-1},
     W, W'^{-1}, W W' W."""
     dag = dagger_map(sys)
-    P_dag = dag(w.P)
-    return _antiautomorphisms(dag, w, P_dag, w.W_prime.inverse(),
-                              (P_dag * w.P).inverse(),
-                              (w.W * w.W_prime * w.W).inverse())
+    return _antiautomorphisms(dag, _twists(w, dag(w.P)))
 
 
-def _antiautomorphisms(dag, w, P_dag, Wp_inv, Pd_P_inv, braid_inv):
-    """antiautomorphisms from the dagger map, P^dagger and the inverses of
-    W', P^dagger P and W W' W."""
-    P_Pd = w.P * P_dag
-    return AntiAutomorphisms(
-        dagger=dag,
-        dagger_p=_dagger_conjugation(dag, P_dag * w.P, Pd_P_inv),
-        dagger_pp=_dagger_conjugation(dag, P_Pd.inverse(), P_Pd),
-        ddagger=_dagger_conjugation(dag, w.W, w.W.inverse()),
-        ddagger_p=_dagger_conjugation(dag, Wp_inv, w.W_prime),
-        ddagger_pp=_dagger_conjugation(dag, w.W * w.W_prime * w.W, braid_inv),
-    )
+def _twists(w, P_dag):
+    """The pairs (T, T^{-1}) of dagger', dagger'', ddagger, ddagger' and
+    ddagger'', from P^dagger; each product and inverse is formed once."""
+    Pd_P, P_Pd = P_dag * w.P, w.P * P_dag
+    Wp_inv = w.W_prime.inverse()
+    braid = w.W * w.W_prime * w.W
+    return ((Pd_P, Pd_P.inverse()), (P_Pd.inverse(), P_Pd), (w.W, w.W.inverse()),
+            (Wp_inv, w.W_prime), (braid, braid.inverse()))
+
+
+def _antiautomorphisms(dag, twists):
+    """antiautomorphisms from the dagger map and the pairs from _twists."""
+    return AntiAutomorphisms(dag, *(_dagger_conjugation(dag, t, tinv)
+                                    for t, tinv in twists))
 
 
 def _is_scalar(m):
-    n = m.nrows
-    lead = m[0, 0]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if m[i, j] != lead:
-                    return False
-            elif not m[i, j].is_zero():
-                return False
-    return not lead.is_zero()
+    zero = m.field._zero_raw
+    lead = m.raw[0][0]
+    return lead != zero and all(v == (lead if i == j else zero)
+                                for i, row in enumerate(m.raw) for j, v in enumerate(row))
 
 
 def antiautomorphism_report(sys, tri, w):
@@ -295,12 +288,10 @@ def antiautomorphism_report(sys, tri, w):
     P = w.P
     dag = dagger_map(sys)
     P_dag = dag(P)
-    # Each matrix is inverted at most once per call.
-    Pd_P_inv = (P_dag * P).inverse()
-    Wp_inv = w.W_prime.inverse()
-    braid_t = w.W * w.W_prime * w.W
-    braid_inv = braid_t.inverse()
-    maps = _antiautomorphisms(dag, w, P_dag, Wp_inv, Pd_P_inv, braid_inv)
+    # Each product and inverse is formed at most once per call.
+    twists = _twists(w, P_dag)
+    (Pd_P, _), (_, P_Pd), _, (Wp_inv, _), (braid_t, braid_inv) = twists
+    maps = _antiautomorphisms(dag, twists)
     A, B, C = tri.A, tri.B, tri.C
     sc = tri.scalars
     dag_p, dag_pp = maps.dagger_p, maps.dagger_pp
@@ -328,8 +319,8 @@ def antiautomorphism_report(sys, tri, w):
 
     if sc.case == "beta=-2":
         # dagger' = dagger'' = dagger as maps: their twists are central
-        rb.record("dagger' = dagger as maps", _is_scalar(P_dag * P))
-        rb.record("dagger'' = dagger as maps", _is_scalar(P * P_dag))
+        rb.record("dagger' = dagger as maps", _is_scalar(Pd_P))
+        rb.record("dagger'' = dagger as maps", _is_scalar(P_Pd))
 
     for name, f, fa, fb, fc in (("ddagger", dd, A, C, B),
                                 ("ddagger'", dd_p, C, B, A),

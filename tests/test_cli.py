@@ -248,3 +248,36 @@ def test_selftest(capsys):
             "triple krawtchouk d=3 over Q(i)", "triple bannai-ito d=4 over Q",
             "triple qracah-odd d=3 over Q(i)", "triple krawtchouk d=3 over Fp:101"]
     assert out.splitlines() == [f"PASS  {row}" for row in grid] + ["selftest: 0 failures"]
+
+
+def test_system_document_over_the_cap_exits_before_decoding(capsys, tmp_path, monkeypatch):
+    from tbtridiag import matrices, serialize, system, triple
+
+    arr_path = tmp_path / "arr.json"
+    sys_path = tmp_path / "sys.json"
+    run(capsys, "generate", "--family", "krawtchouk", "--d", "4",
+        "--field", "Q", "-o", str(arr_path))
+    code, _, _ = run(capsys, "build", "-i", str(arr_path), "-o", str(sys_path))
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("idempotents built for a document over the cap")
+
+    for mod in (matrices, serialize, system, triple):
+        for name in ("primitive_idempotents", "lagrange_idempotents"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    monkeypatch.setenv("TB_TRIDIAG_MAX_D", "3")
+    code, out, err = run(capsys, "verify", "-i", str(sys_path))
+    assert code == 2 and out == ""
+    assert err == "ParseError: d = 4 exceeds TB_TRIDIAG_MAX_D = 3\n"
+
+
+@pytest.mark.parametrize("text", ["1e1", "1.5", "1_0", " 2/0"])
+def test_rational_outside_the_grammar_rejected(capsys, tmp_path, text):
+    # Fraction() reads "1e1" as 10, and the array would then verify
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"field": "Q", "d": 2, "theta": [text, "0", "-10"],
+                                "theta_star": ["10", "0", "-10"]}))
+    code, out, err = run(capsys, "verify", "-i", str(path))
+    assert code == 2 and "ParseError" in err and out == ""

@@ -201,3 +201,20 @@ def test_sort_key_prefers_canonical_side():
     assert sort_key(QQ(2)) < sort_key(QQ(-2))
     F101 = PrimeField(101)
     assert sort_key(F101(10)) < sort_key(F101(91))
+
+
+@pytest.mark.parametrize("text", ["1e1", "1.5", "1_0", " 2/0", "+3", "1/-2",
+                                  "1 / 2", "0x10", "٣", "-", "/2", "1/"])
+def test_rational_grammar_is_n_or_p_over_q(text):
+    with pytest.raises(ParseError):
+        QQ.parse(text)
+    with pytest.raises(ParseError):
+        QQi().parse(f"1+{text}*sqrt(-1)")
+
+
+def test_rational_grammar_accepts_the_documented_forms():
+    assert QQ.parse("12") == QQ(12)
+    assert QQ.parse("-12/8") == QQ(Fraction(-3, 2))
+    assert QQ.parse(" 7 ") == QQ(7)
+    assert QQ.parse("-0") == QQ.zero
+    assert type(QQ.parse("4/2").value) is Fraction

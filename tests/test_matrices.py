@@ -415,3 +415,65 @@ def test_sub_scaled_matches_boxed_reference(spec, data):
     got = fld._sub_scaled([e.value for e in vec], x.value, [e.value for e in row])
     expected = [a - x * b for a, b in zip(vec, row)]
     assert _typed(Matrix.from_raw(fld, [got])) == _typed(Matrix(fld, [expected]))
+
+
+# ---------------------------------------------------------------------------
+# the raw representation against boxed entrywise references
+#
+# A Matrix stores raw values; the references below compute entry by entry on
+# the FieldElements of m.rows and box the result with Matrix(field, rows).
+# ---------------------------------------------------------------------------
+
+def _boxed_entrywise(f, *mats):
+    return Matrix(mats[0].field, [[f(*entries) for entries in zip(*rows)]
+                                  for rows in zip(*(m.rows for m in mats))])
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_entrywise_operations_match_boxed_reference(spec, data):
+    fld = parse_field(spec)
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    x = data.draw(_matrices(fld, n, m))
+    y = data.draw(_matrices(fld, n, m))
+    assert _typed(x + y) == _typed(_boxed_entrywise(lambda a, b: a + b, x, y))
+    assert _typed(x - y) == _typed(_boxed_entrywise(lambda a, b: a - b, x, y))
+    assert _typed(-x) == _typed(_boxed_entrywise(lambda a: -a, x))
+    for s in (data.draw(_elements(fld)), data.draw(st.integers(-5, 5))):
+        assert _typed(x * s) == _typed(_boxed_entrywise(lambda a: a * s, x))
+        assert _typed(s * x) == _typed(_boxed_entrywise(lambda a: s * a, x))
+    assert _typed(x.transpose()) == _typed(Matrix(fld, list(zip(*x.rows))))
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_comparisons_match_boxed_reference(spec, data):
+    fld = parse_field(spec)
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    x = data.draw(_matrices(fld, n, m))
+    y = data.draw(st.just(x) | _matrices(fld, n, m))
+    assert (x == y) == (x.rows == y.rows)
+    assert (x != y) == (x.rows != y.rows)
+    copy = Matrix(fld, x.rows)
+    assert copy == x and hash(copy) == hash(x)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert x.is_zero() == all(e.is_zero() for r in x.rows for e in r)
+    assert (x - x).is_zero() and zeros(fld, n, m).is_zero()
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_indexing_and_rows_box_the_stored_values(spec, data):
+    fld = parse_field(spec)
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entries = [[data.draw(_elements(fld)) for _ in range(m)] for _ in range(n)]
+    x = Matrix(fld, entries)
+    expected = _typed(SimpleNamespace(field=fld, rows=entries))
+    assert _typed(x) == expected
+    assert _typed(SimpleNamespace(field=fld, rows=[[x[i, j] for j in range(m)]
+                                                   for i in range(n)])) == expected
+    assert x.shape == (n, m) and isinstance(x.rows, tuple)

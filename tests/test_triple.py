@@ -218,6 +218,15 @@ def test_rho_conjugate_checks_compare_the_maps(golden1, monkeypatch):
     assert "dagger'' = rho^-1 o dagger o rho" in failed
 
 
+def test_twists_are_inverse_pairs(golden1, golden_bi4):
+    for system, _, w in (golden1, golden_bi4):
+        eye = identity(system.field, system.d + 1)
+        twists = triple._twists(w, dagger(system, w.P))
+        assert len(twists) == 5
+        for t, t_inv in twists:
+            assert t * t_inv == eye
+
+
 def test_sigma_swaps(golden1, golden_bi4):
     for system, tri, w in (golden1, golden_bi4):
         report = sigma_and_psl2z(system, tri, w)

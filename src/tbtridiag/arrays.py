@@ -221,15 +221,13 @@ def generate_family(fld, family, d, h=1, h_star=None, q=None):
 
     if family is Family.KRAWTCHOUK:
         _check_char_greater(fld, d, family)
-        theta = [h * (d - 2 * i) for i in range(d + 1)]
-        theta_star = [h_star * (d - 2 * i) for i in range(d + 1)]
+        sigma = [d - 2 * i for i in range(d + 1)]
         tag = FamilyTag(family, h, h_star)
     elif family is Family.BANNAI_ITO:
         if d % 2 == 1:
             raise BannaiItoOddDiameter(f"bannai-ito needs even d, got {d}")
         _check_char_greater(fld, d, family)
-        theta = [h * (d - 2 * i) * (-1) ** i for i in range(d + 1)]
-        theta_star = [h_star * (d - 2 * i) * (-1) ** i for i in range(d + 1)]
+        sigma = [(d - 2 * i) * (-1) ** i for i in range(d + 1)]
         tag = FamilyTag(family, h, h_star)
     elif family in (Family.QRACAH_EVEN, Family.QRACAH_ODD):
         want_odd = family is Family.QRACAH_ODD
@@ -241,9 +239,7 @@ def generate_family(fld, family, d, h=1, h_star=None, q=None):
         _check_q_conditions(fld, q, d)
         denom = (q - q.inverse()) if want_odd else (q * q - (q * q).inverse())
         dinv = denom.inverse()
-        theta = [h * (q ** (d - 2 * i) - q ** (2 * i - d)) * dinv for i in range(d + 1)]
-        theta_star = [h_star * (q ** (d - 2 * i) - q ** (2 * i - d)) * dinv
-                      for i in range(d + 1)]
+        sigma = [(q ** (d - 2 * i) - q ** (2 * i - d)) * dinv for i in range(d + 1)]
         beta = q * q + (q * q).inverse()
         tag = FamilyTag(family, h, h_star, q=q, beta=beta)
     elif family is Family.SMALL_D1:
@@ -251,20 +247,20 @@ def generate_family(fld, family, d, h=1, h_star=None, q=None):
             raise LengthMismatch("small-d1 has d = 1")
         if fld.characteristic == 2:
             raise CharacteristicViolation("characteristic 2 admits no arrays")
-        theta = [h, -h]
-        theta_star = [h_star, -h_star]
+        sigma = [1, -1]
         tag = FamilyTag(family, h, h_star)
     elif family is Family.SMALL_D2:
         if d != 2:
             raise LengthMismatch("small-d2 has d = 2")
         if fld.characteristic == 2:
             raise CharacteristicViolation("characteristic 2 admits no arrays")
-        theta = [h, fld.zero, -h]
-        theta_star = [h_star, fld.zero, -h_star]
+        sigma = [1, 0, -1]
         tag = FamilyTag(family, h, h_star)
     else:  # pragma: no cover
         raise Unclassifiable(str(family))
 
+    theta = [h * s for s in sigma]
+    theta_star = [h_star * s for s in sigma]
     return validate_array(fld, theta, theta_star).with_family(tag)
 
 

@@ -11,11 +11,11 @@ Document kinds are recognized by their keys: an array document carries
 
 import json
 
-from .arrays import Family, FamilyTag, validate_array
-from .errors import NotAnnihilated, ParseError
+from .arrays import Family, FamilyTag, classify, generate_family, validate_array
+from .errors import NotAnnihilated, ParseError, TBTridiagError
 from .fields import parse_field
 from .matrices import Matrix, diagonal, lagrange_idempotents, primitive_idempotents
-from .system import IntersectionNumbers, TBSystem, signed_sum
+from .system import TBSystem, intersection_numbers, signed_sum, symmetrizer
 from .triple import LeonardTriple, TripleScalars, WData
 
 
@@ -86,8 +86,30 @@ def decode_array(doc):
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed family tag: {exc}") from None
+        _check_tag(arr, tag)
         arr = arr.with_family(tag)
     return arr
+
+
+def _check_tag(arr, tag):
+    """Refuse a family tag that does not describe its array.
+
+    The tag must regenerate the array; classify would not do, because at
+    d <= 2 it names only the small-diameter families.  A q-Racah tag
+    without q (no q lies in the field) must be the one classify gives.
+    """
+    try:
+        if tag.q is None and tag.family in (Family.QRACAH_EVEN, Family.QRACAH_ODD):
+            ok = tag == classify(arr)
+        else:
+            # -q, 1/q and -1/q regenerate the same array as q
+            gen = generate_family(arr.field, tag.family, arr.d, tag.h, tag.h_star, tag.q)
+            ok = (gen.family == tag and gen.theta == arr.theta
+                  and gen.theta_star == arr.theta_star)
+    except TBTridiagError as exc:
+        raise ParseError(f"family tag {tag.family.value} does not fit the array: {exc}") from None
+    if not ok:
+        raise ParseError(f"family tag {tag.family.value} does not describe the array")
 
 
 def emit_system(sys):
@@ -114,17 +136,18 @@ def system_array(doc):
 def decode_system(doc, arr=None):
     """Load a system document without enforcing construction identities.
 
-    Stored matrices are taken as-is so that verification can report on
+    Stored A and A* are taken as-is so that verification can report on
     hand-edited documents; idempotents of a non-diagonalizable A are left
-    unset rather than raising.  arr is system_array(doc) when the caller
-    has already decoded it.
+    unset rather than raising.  The stored intersection numbers and K must
+    be the ones the array gives (ParseError otherwise).  arr is
+    system_array(doc) when the caller has already decoded it.
     """
     if arr is None:
         arr = system_array(doc)
     fld = arr.field
     try:
-        inters = IntersectionNumbers(
-            *(tuple(_dec_elems(fld, doc[key])) for key in ("c", "b", "c_star", "b_star")))
+        stored = {key: tuple(_dec_elems(fld, doc[key]))
+                  for key in ("c", "b", "c_star", "b_star")}
         A = _dec_matrix(fld, doc["A"])
         A_star = _dec_matrix(fld, doc["A_star"])
         K = _dec_matrix(fld, doc["K"])
@@ -133,6 +156,12 @@ def decode_system(doc, arr=None):
     n = arr.d + 1
     if A.shape != (n, n) or A_star.shape != (n, n) or K.shape != (n, n):
         raise ParseError("matrix shapes do not match the diameter")
+    inters = intersection_numbers(arr)
+    for key, value in stored.items():
+        if value != getattr(inters, key):
+            raise ParseError(f"stored {key} disagrees with the eigenvalue array")
+    if K != symmetrizer(fld, inters):
+        raise ParseError("stored K disagrees with the eigenvalue array")
     E_star = tuple(diagonal(fld, [fld.one if j == i else fld.zero for j in range(n)])
                    for i in range(n))
     try:

@@ -96,6 +96,14 @@ def _tridiagonal(fld, c, b, n):
     return Matrix(fld, rows)
 
 
+def symmetrizer(fld, inters):
+    """The diagonal K with A^t K = K A: k_0 = 1, k_i = k_{i-1} b_{i-1} / c_i."""
+    k = [fld.one]
+    for b, c in zip(inters.b, inters.c):
+        k.append(k[-1] * b / c)
+    return diagonal(fld, k)
+
+
 def build_system(arr):
     """Construct the TB tridiagonal system with eigenvalue array arr.
 
@@ -116,10 +124,7 @@ def build_system(arr):
     # A is irreducible tridiagonal: intersection_numbers found no zero c_i, b_i
     E, right, left = rank_one_idempotents(A, arr.theta)
 
-    k = [fld.one]
-    for i in range(1, n):
-        k.append(k[-1] * inters.b[i - 1] / inters.c[i - 1])
-    K = diagonal(fld, k)
+    K = symmetrizer(fld, inters)
 
     S = signed_sum(E)
     S_star = signed_sum(E_star)

@@ -235,7 +235,7 @@ def _check_triple(system, sc, tri, w):
     assert w.P * w.P * w.P == identity(fld, d + 1) * kappa
     assert w.kappa == kappa
     assert braid_check(w).passed
-    sig = sigma_and_psl2z(system, tri, w, word_maxlen=3)
+    sig = sigma_and_psl2z(system, tri, w)
     assert sig.passed, sig.failures()
     by_name = {c.name: c for c in sig}
     assert by_name["rho^3 = id on all matrix units"].passed

@@ -1,8 +1,18 @@
+import copy
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from tbtridiag import serialize
+from tbtridiag.arrays import Family, classify, generate_family, q_equivalent, validate_array
 from tbtridiag.cli import main
+from tbtridiag.fields import QQ, PrimeField, QQi, parse_field
+from tbtridiag.system import build_system
 
 
 def run(capsys, *argv):
@@ -291,3 +301,138 @@ def test_residue_outside_the_grammar_rejected(capsys, tmp_path):
                                 "theta_star": ["3", "1", "-1", "-3"]}))
     code, out, err = run(capsys, "verify", "-i", str(path))
     assert code == 2 and "ParseError" in err and out == ""
+
+
+def _slot(doc, path):
+    """The container that holds the last key of path, and that key."""
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    return doc, last
+
+
+@pytest.mark.parametrize("edits, named", [
+    ({("K", 0, 1): "5"}, "K"),                 # off the diagonal, which dagger never reads
+    ({("c", 0): "7", ("b", 1): "9"}, "c"),
+    ({("K", 2, 2): "0"}, "K"),                 # dagger would divide by k_2
+])
+def test_system_document_must_agree_with_its_array(capsys, tmp_path, edits, named):
+    arr_path = tmp_path / "arr.json"
+    run(capsys, "generate", "--family", "krawtchouk", "--d", "3", "--field", "Q",
+        "-o", str(arr_path))
+    code, out, _ = run(capsys, "build", "-i", str(arr_path))
+    assert code == 0
+    doc = json.loads(out)
+    for path, value in edits.items():
+        parent, last = _slot(doc, path)
+        parent[last] = value
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "-i", str(sys_path))
+    assert code == 2 and out == ""
+    assert err == f"ParseError: stored {named} disagrees with the eigenvalue array\n"
+
+
+@pytest.mark.parametrize("key, value", [("h", "7"), ("family", "bannai-ito")])
+def test_false_family_tag_rejected(capsys, tmp_path, key, value):
+    path = tmp_path / "arr.json"
+    run(capsys, "generate", "--family", "krawtchouk", "--d", "3", "--field", "Q",
+        "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc["family"][key] = value
+    path.write_text(json.dumps(doc))
+    for command in ("build", "verify"):
+        code, out, err = run(capsys, command, "-i", str(path))
+        assert code == 2 and out == "" and err.startswith("ParseError: family tag")
+
+
+@pytest.mark.parametrize("family, d, q, q_form", [
+    # classify would name these small-d1 / small-d2
+    ("krawtchouk", "2", None, None),
+    ("bannai-ito", "2", None, None),
+    ("qracah-even", "2", "2", None),
+    # -q, 1/q and -1/q regenerate the array of q
+    ("qracah-odd", "3", "2", "-2"),
+    ("qracah-odd", "3", "2", "1/2"),
+    ("qracah-even", "4", "2", "-1/2"),
+])
+def test_family_tags_that_regenerate_the_array_accepted(capsys, tmp_path, family, d, q, q_form):
+    path = tmp_path / "arr.json"
+    run(capsys, "generate", "--family", family, "--d", d, "--field", "Q",
+        *(["--q", q] if q else []), "-o", str(path))
+    doc = json.loads(path.read_text())
+    if q_form:
+        doc["family"]["q"] = q_form
+        path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "build", "-i", str(path))
+    assert code == 0 and json.loads(out)["array"]["family"] == doc["family"]
+
+
+def test_qracah_tag_without_q_is_the_classified_one(capsys, tmp_path):
+    # beta = 3 has no q in Q: the tag records beta instead
+    arr = validate_array(QQ, [4, 1, -1, -4], [4, 1, -1, -4])
+    doc = serialize.emit_array(arr.with_family(classify(arr)))
+    assert "q" not in doc["family"] and doc["family"]["beta"] == "3"
+    path = tmp_path / "arr.json"
+    for key, value in ((None, None), ("beta", "5"), ("h", "2")):
+        tagged = copy.deepcopy(doc)
+        if key:
+            tagged["family"][key] = value
+        path.write_text(json.dumps(tagged))
+        code, _, err = run(capsys, "build", "-i", str(path))
+        assert (code, err.split(":")[0]) == ((0, "") if key is None else (2, "ParseError"))
+
+
+def _verify_stdin(doc):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "-i", "-"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def system_docs():
+    tagged = validate_array(QQ, [4, 1, -1, -4], [4, 1, -1, -4])
+    arrays = (generate_family(QQ, Family.KRAWTCHOUK, 3),
+              generate_family(QQ, Family.QRACAH_ODD, 3, q=2),
+              generate_family(PrimeField(101), Family.BANNAI_ITO, 4, h=2, h_star=-3),
+              generate_family(QQi(), Family.KRAWTCHOUK, 2, h=QQi().gen()),
+              tagged.with_family(classify(tagged)))
+    return [serialize.emit_system(build_system(arr)) for arr in arrays]
+
+
+def test_unmutated_system_documents_verify(system_docs):
+    for doc in system_docs:
+        code, out, err = _verify_stdin(doc)
+        assert code == 0 and out.endswith(" 0 failed\n") and err == ""
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mutated_system_document_exits_2(system_docs, data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(system_docs)))
+    fld = parse_field(doc["array"]["field"])
+    key = data.draw(st.sampled_from(["c", "b", "c_star", "b_star", "K", "family"]))
+    if key == "K":
+        index = st.integers(0, len(doc["K"]) - 1)
+        path = ("K", data.draw(index), data.draw(index))
+    elif key == "family":
+        path = ("array", "family", data.draw(st.sampled_from(sorted(doc["array"]["family"]))))
+    else:
+        path = (key, data.draw(st.integers(0, len(doc[key]) - 1)))
+    parent, last = _slot(doc, path)
+    old = parent[last]
+    if last == "family":
+        new = data.draw(st.sampled_from([f.value for f in Family if f.value != old]))
+    else:
+        new = str(data.draw(st.integers(-9, 9)))
+        assume(fld.parse(new) != fld.parse(old))
+        # q, -q, 1/q and -1/q describe the same array
+        assume(last != "q" or not q_equivalent(fld.parse(old), fld.parse(new)))
+    parent[last] = new
+    code, out, err = _verify_stdin(doc)
+    assert code == 2 and out == "" and err.startswith("ParseError: "), (path, new, err)

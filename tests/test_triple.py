@@ -5,7 +5,7 @@ import pytest
 
 from tbtridiag.arrays import Family, generate_family, validate_array
 from tbtridiag.errors import BetaInvalid, NoSquareRootInField, NotSelfDual
-from tbtridiag.fields import QQ, PrimeField, QQi
+from tbtridiag.fields import QQ, PrimeField, QQi, parse_field
 from tbtridiag.matrices import Matrix, diagonal, identity
 from tbtridiag.system import build_system, dagger
 from tbtridiag import triple
@@ -305,3 +305,66 @@ def test_d2_beta_choice():
     sc2 = triple_scalars(system_i)  # defaults to beta = 2
     assert sc2.beta == Qi(2)
     assert build_W(build_C(system_i, sc2)).kappa == expected_kappa(sc2, 2)
+
+
+WORDS_CHECK = "sampled words agree with their r^3 = s^2 = 1 normal forms"
+
+
+def _enumerated_words_check(w, maxlen=4):
+    """Reference: every word of length <= maxlen in r -> P^-1, s -> T^-1
+    against its normal form, as products of the generators."""
+    P, T = w.P, w.W * w.W_prime * w.W
+    gens = {"r": P.inverse(), "s": T.inverse()}
+    gens_inv = {"r": P, "s": T}
+
+    def product(table, word):
+        m = identity(P.field, P.nrows)
+        for letter in word:
+            m = m * table[letter]
+        return m
+
+    words = [""]
+    for _ in range(maxlen):
+        words = [base + letter for base in words for letter in "rs"]
+        for word in words:
+            nf = word
+            while "rrr" in nf or "ss" in nf:
+                nf = nf.replace("rrr", "").replace("ss", "")
+            # the conjugator of nf is inverted by the reversed word in P, T
+            if not triple._is_scalar(product(gens, word) * product(gens_inv, nf[::-1])):
+                return False, f"word {word} != its normal form {nf or '1'}"
+    return True, None
+
+
+def _words_check(system, tri, w):
+    check = next(c for c in sigma_and_psl2z(system, tri, w) if c.name == WORDS_CHECK)
+    return check.passed, check.witness
+
+
+@pytest.mark.parametrize("spec, family, d, beta", [
+    ("Q(i)", Family.KRAWTCHOUK, 3, None),
+    ("Q", Family.BANNAI_ITO, 4, -2),
+    ("Fp:101", Family.KRAWTCHOUK, 3, None),
+    ("Fp2:103", Family.KRAWTCHOUK, 3, None),
+])
+def test_words_check_matches_enumeration_on_built_triples(spec, family, d, beta):
+    fld = parse_field(spec)
+    system, tri, w = _triple(fld, family, d, beta=None if beta is None else fld(beta))
+    assert _words_check(system, tri, w) == _enumerated_words_check(w) == (True, None)
+
+
+def test_words_check_matches_enumeration_on_broken_wdata(golden_bi4):
+    system, tri, w = golden_bi4
+    scale = diagonal(QQ, range(2, tri.d + 3))
+    # scaling W leaves P alone but makes T^2 non-central: ss fails first
+    bad_w = dataclasses.replace(w, W=scale * w.W)
+    assert _words_check(system, tri, bad_w) == _enumerated_words_check(bad_w) \
+        == (False, "word ss != its normal form 1")
+    # scaling P leaves T alone but makes P^3 non-central: rrr fails first
+    bad_p = dataclasses.replace(w, P=scale * w.P)
+    assert _words_check(system, tri, bad_p) == _enumerated_words_check(bad_p) \
+        == (False, "word rrr != its normal form 1")
+    # with both broken, ss (length 2) comes before rrr
+    bad_both = dataclasses.replace(bad_w, P=scale * w.P)
+    assert _words_check(system, tri, bad_both) == _enumerated_words_check(bad_both) \
+        == (False, "word ss != its normal form 1")

@@ -411,6 +411,14 @@ def test_unmutated_system_documents_verify(system_docs):
         assert code == 0 and out.endswith(" 0 failed\n") and err == ""
 
 
+def test_bannai_ito_tag_fits_a_d2_krawtchouk_document(system_docs):
+    doc = copy.deepcopy(system_docs[3])
+    assert (doc["array"]["d"], doc["array"]["family"]["family"]) == (2, "krawtchouk")
+    doc["array"]["family"]["family"] = "bannai-ito"
+    code, out, err = _verify_stdin(doc)
+    assert code == 0 and out.endswith(" 0 failed\n") and err == ""
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_mutated_system_document_exits_2(system_docs, data):
@@ -428,6 +436,8 @@ def test_mutated_system_document_exits_2(system_docs, data):
     old = parent[last]
     if last == "family":
         new = data.draw(st.sampled_from([f.value for f in Family if f.value != old]))
+        # at d = 2 the krawtchouk and bannai-ito forms coincide (sigma = 2, 0, -2)
+        assume(doc["array"]["d"] != 2 or {old, new} != {"krawtchouk", "bannai-ito"})
     else:
         new = str(data.draw(st.integers(-9, 9)))
         assume(fld.parse(new) != fld.parse(old))

@@ -11,6 +11,7 @@ value that is not an integer is malformed configuration (exit 2).
 
 import argparse
 import os
+import re
 import sys as _sys
 
 from . import serialize
@@ -21,7 +22,7 @@ from .report import CheckResult, VerificationReport, combine
 from .system import (build_system, dagger_report, involutions_check,
                      verify_aw_relations, verify_axioms)
 from .triple import (antiautomorphism_report, braid_check, build_C, build_W,
-                     sigma_and_psl2z, triple_scalars)
+                     sigma_and_psl2z, spectral_inverses, triple_scalars)
 
 
 def _max_d():
@@ -168,9 +169,10 @@ def _complete_triple(system, beta):
     """The Leonard-triple completion of a self-dual system and its report."""
     tri = build_C(system, triple_scalars(system, beta=beta))
     w = build_W(tri)
+    inv = spectral_inverses(tri, w)
     report = combine(braid_check(w),
-                     antiautomorphism_report(system, tri, w),
-                     sigma_and_psl2z(system, tri, w))
+                     antiautomorphism_report(system, tri, w, inv),
+                     sigma_and_psl2z(system, tri, w, inv))
     return tri, w, report
 
 
@@ -281,9 +283,27 @@ def _build_parser():
     return parser
 
 
+# Options whose value is a field element.  argparse reads only -n and -n.m as
+# negative numbers, so in "--h -1/2" it would take -1/2 for an option.
+_ELEMENT_OPTIONS = frozenset({"--h", "--h-star", "--q", "--beta"})
+
+
+def _attach_negative_elements(argv):
+    """Write "--h -1/2" as "--h=-1/2"; every element text starts with a digit
+    after its sign, and no option of the parser does."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _ELEMENT_OPTIONS and re.match(r"-[0-9]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_elements(
+        _sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except TBTridiagError as exc:

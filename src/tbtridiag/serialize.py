@@ -16,7 +16,7 @@ from .errors import NotAnnihilated, ParseError, TBTridiagError
 from .fields import parse_field
 from .matrices import Matrix, diagonal, lagrange_idempotents, primitive_idempotents
 from .system import TBSystem, intersection_numbers, signed_sum, symmetrizer
-from .triple import LeonardTriple, TripleScalars, WData
+from .triple import LeonardTriple, spectral_elements, triple_scalars
 
 
 def _enc_elems(fld, elems):
@@ -194,29 +194,45 @@ def emit_triple(sys, tri, w):
 
 
 def decode_triple(doc):
-    """Load a triple document, returning (system, triple, wdata)."""
+    """Load a triple document, returning (system, triple, wdata).
+
+    The stored beta, rho, h, z, q, weights t and kappa must be the ones the
+    decoded system gives, and W, W', W'' and P the spectral sums they predict
+    (ParseError naming the first that disagrees).  C stays as stored, so that
+    the reports can check a hand-edited one.
+    """
     try:
         sys = decode_system(doc["system"])
         fld = sys.field
         C = _dec_matrix(fld, doc["C"])
-        W = _dec_matrix(fld, doc["W"])
-        W_prime = _dec_matrix(fld, doc["W_prime"])
-        W_dprime = _dec_matrix(fld, doc["W_dprime"])
-        P = _dec_matrix(fld, doc["P"])
-        sc = TripleScalars(
-            fld.parse(doc["beta"]), fld.parse(doc["rho"]), fld.parse(doc["h"]),
-            fld.parse(doc["z"]), fld.parse(doc["q"]) if "q" in doc else None)
-        t = tuple(_dec_elems(fld, doc["t"]))
-        kappa = fld.parse(doc["kappa"])
+        stored = {key: fld.parse(doc[key]) for key in ("beta", "rho", "h", "z")}
+        stored["q"] = fld.parse(doc["q"]) if "q" in doc else None
+        stored["t"] = tuple(_dec_elems(fld, doc["t"]))
+        stored["kappa"] = fld.parse(doc["kappa"])
+        for key in ("W", "W_prime", "W_dprime", "P"):
+            stored[key] = _dec_matrix(fld, doc[key])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed triple document: {exc}") from None
     if sys.E is None:
         raise ParseError("triple document with a non-diagonalizable A")
+    if C.shape != sys.A.shape:
+        raise ParseError("matrix shapes do not match the diameter")
+    try:
+        sc = triple_scalars(sys, stored["beta"])
+    except TBTridiagError as exc:
+        raise ParseError(f"stored beta gives no triple completion: {exc}") from None
     theta = sys.array.theta
     E_prime = tuple(lagrange_idempotents(sys.A_star, theta))
     E_dprime = primitive_idempotents(C, theta)
     tri = LeonardTriple(sys.A, sys.A_star, C, sys.E, E_prime, E_dprime, sc)
-    return sys, tri, WData(W, W_prime, W_dprime, P, t, kappa)
+    w = spectral_elements(tri)
+    expected = {"beta": sc.beta, "rho": sc.rho, "h": sc.h, "z": sc.z, "q": sc.q,
+                "t": w.t, "kappa": w.kappa, "W": w.W, "W_prime": w.W_prime,
+                "W_dprime": w.W_dprime, "P": w.P}
+    for key, value in expected.items():
+        if stored[key] != value:
+            raise ParseError(f"stored {key} disagrees with the system")
+    return sys, tri, w
 
 
 def dumps(doc):

@@ -6,6 +6,15 @@ W, W', W'' built from a shared eigenvalue-dependent weight sequence t_i give
 an order-3 inner automorphism rho (conjugation by P = W'W, with P^3 = kappa I),
 an order-2 automorphism sigma, a family of six antiautomorphisms, and through
 rho, sigma an action of the modular group PSL2(Z).
+
+No report inverts a matrix by elimination.  Every inverse follows from the
+spectral data (compare Curtin, "Modular Leonard triples", LAA 424, 2007):
+W^{-1} = sum t_i^{-1} E_i, W'^{-1} = sum t_i^{-1} E'_i and, since P^3 = kappa I,
+P^{-1} = kappa^{-1} P^2, each certified by one product against I; then
+T^{-1} = (W W' W)^{-1} = W^{-1} W'^{-1} W^{-1} and (X^dagger)^{-1} = (X^{-1})^dagger
+need no certificate.  Gauss-Jordan (``Matrix.inverse``) is only the fallback
+for data that fails a certificate, such as a hand-built WData with a false
+kappa, so the reports and their Singular raises are those of dense inversion.
 """
 
 from dataclasses import dataclass
@@ -175,10 +184,13 @@ def _weights(sc, d):
 
 
 def _spectral_sum(idems, weights):
-    acc = idems[0] * weights[0]
-    for e, t in zip(idems[1:], weights[1:]):
-        acc = acc + e * t
-    return acc
+    """sum t_i E_i as one product in the field's kernel: the n^2 x k matrix
+    with the entries of E_i in column i, times the column of the t_i."""
+    fld, m = idems[0].field, idems[0].ncols
+    flat = fld._matmul(list(zip(*(sum(e.raw, ()) for e in idems))),
+                       [[fld(t).value for t in weights]])
+    return Matrix.from_raw(fld, [[v for (v,) in flat[i:i + m]]
+                                 for i in range(0, len(flat), m)])
 
 
 def expected_kappa(sc, d):
@@ -192,6 +204,17 @@ def expected_kappa(sc, d):
     return fld(-1) ** d * h ** (-d) * z ** d * sc.q ** (d * (d - 1))
 
 
+def spectral_elements(tri):
+    """The WData the scalars of tri predict: the weights t, W, W', W'', P = W'W
+    and the expected kappa, formed without checking any identity."""
+    sc, d = tri.scalars, tri.d
+    t = _weights(sc, d)
+    W = _spectral_sum(tri.E, t)
+    W_prime = _spectral_sum(tri.E_prime, t)
+    return WData(W, W_prime, _spectral_sum(tri.E_dprime, t), W_prime * W, t,
+                 expected_kappa(sc, d))
+
+
 def build_W(tri):
     """The spectral elements W, W', W'' and P = W'W, with P^3 = kappa I.
 
@@ -199,28 +222,64 @@ def build_W(tri):
     and the three factorizations of P are checked (InvariantViolation); a
     wrong kappa raises KappaMismatch.
     """
-    sc = tri.scalars
-    d = tri.d
-    t = _weights(sc, d)
-    W = _spectral_sum(tri.E, t)
-    W_prime = _spectral_sum(tri.E_prime, t)
-    W_dprime = _spectral_sum(tri.E_dprime, t)
-    P = W_prime * W
+    w = spectral_elements(tri)
+    W, W_prime, W_dprime, P, kappa = w.W, w.W_prime, w.W_dprime, w.P, w.kappa
     A, B, C = tri.A, tri.B, tri.C
     require(A * W == W * A and B * W_prime == W_prime * B,
             "W or W' does not commute with A or B")
     require(B * W == W * C and C * W_prime == W_prime * A,
             "W or W' does not intertwine")
     require(P == W_dprime * W_prime == W * W_dprime, "the factorizations of P disagree")
-    kappa = expected_kappa(sc, d)
-    if P * P * P != identity(tri.field, d + 1) * kappa:
-        raise KappaMismatch(f"P^3 != {kappa} I for case {sc.case}")
-    return WData(W, W_prime, W_dprime, P, t, kappa)
+    if P * P * P != identity(tri.field, tri.d + 1) * kappa:
+        raise KappaMismatch(f"P^3 != {kappa} I for case {tri.scalars.case}")
+    return w
+
+
+def _certified_inverse(x, candidate):
+    """candidate if x candidate = I (one product), else x^{-1} by Gauss-Jordan,
+    which raises Singular for a singular x.  For a square x a one-sided
+    inverse is two-sided."""
+    if candidate is not None and x * candidate == identity(x.field, x.nrows):
+        return candidate
+    return x.inverse()
+
+
+def _spectral_inverse(x, idems, t):
+    """x^{-1} = sum t_i^{-1} E_i for x = sum t_i E_i."""
+    candidate = None if any(ti.is_zero() for ti in t) else \
+        _spectral_sum(idems, [ti.inverse() for ti in t])
+    return _certified_inverse(x, candidate)
+
+
+def _P_inverse(w):
+    """P^{-1} = kappa^{-1} P^2, since P^3 = kappa I."""
+    candidate = None if w.kappa.is_zero() else w.P * w.P * w.kappa.inverse()
+    return _certified_inverse(w.P, candidate)
+
+
+@dataclass(frozen=True)
+class SpectralInverses:
+    """The inverses the reports take, with T = W W' W, formed once per triple."""
+
+    W_inv: Matrix
+    W_prime_inv: Matrix
+    P_inv: Matrix
+    T: Matrix
+    T_inv: Matrix
+
+
+def spectral_inverses(tri, w):
+    """W^{-1}, W'^{-1}, P^{-1}, T and T^{-1} from the spectral data (see the
+    module docstring); T^{-1} = W^{-1} W'^{-1} W^{-1} follows by algebra."""
+    W_inv = _spectral_inverse(w.W, tri.E, w.t)
+    Wp_inv = _spectral_inverse(w.W_prime, tri.E_prime, w.t)
+    return SpectralInverses(W_inv, Wp_inv, _P_inverse(w),
+                            w.W * w.W_prime * w.W, W_inv * Wp_inv * W_inv)
 
 
 def rho_automorphism(w, x):
     """The order-3 automorphism X -> P^{-1} X P cycling A -> B -> C -> A."""
-    return w.P.inverse() * x * w.P
+    return _P_inverse(w) * x * w.P
 
 
 def braid_check(w):
@@ -256,17 +315,18 @@ def antiautomorphisms(sys, tri, w):
     """The maps X -> T^{-1} X^dagger T for T = I, P^dagger P, (P P^dagger)^{-1},
     W, W'^{-1}, W W' W."""
     dag = dagger_map(sys)
-    return _antiautomorphisms(dag, _twists(w, dag(w.P)))
+    inv = spectral_inverses(tri, w)
+    return _antiautomorphisms(dag, _twists(w, inv, dag(w.P), dag(inv.P_inv)))
 
 
-def _twists(w, P_dag):
+def _twists(w, inv, P_dag, P_inv_dag):
     """The pairs (T, T^{-1}) of dagger', dagger'', ddagger, ddagger' and
-    ddagger'', from P^dagger; each product and inverse is formed once."""
-    Pd_P, P_Pd = P_dag * w.P, w.P * P_dag
-    Wp_inv = w.W_prime.inverse()
-    braid = w.W * w.W_prime * w.W
-    return ((Pd_P, Pd_P.inverse()), (P_Pd.inverse(), P_Pd), (w.W, w.W.inverse()),
-            (Wp_inv, w.W_prime), (braid, braid.inverse()))
+    ddagger'', from the spectral inverses and the dagger images of P and
+    P^{-1}: (P^dagger P)^{-1} = P^{-1} (P^{-1})^dagger and
+    (P P^dagger)^{-1} = (P^{-1})^dagger P^{-1}."""
+    P, P_inv = w.P, inv.P_inv
+    return ((P_dag * P, P_inv * P_inv_dag), (P_inv_dag * P_inv, P * P_dag),
+            (w.W, inv.W_inv), (inv.W_prime_inv, w.W_prime), (inv.T, inv.T_inv))
 
 
 def _antiautomorphisms(dag, twists):
@@ -282,15 +342,20 @@ def _is_scalar(m):
                                 for i, row in enumerate(m.raw) for j, v in enumerate(row))
 
 
-def antiautomorphism_report(sys, tri, w):
-    """Action tables and involutivity of the six antiautomorphisms."""
+def antiautomorphism_report(sys, tri, w, inv=None):
+    """Action tables and involutivity of the six antiautomorphisms.
+
+    inv is spectral_inverses(tri, w) when the caller has formed it already.
+    """
     rb = ReportBuilder()
-    P = w.P
+    if inv is None:
+        inv = spectral_inverses(tri, w)
+    P, Pinv = w.P, inv.P_inv
     dag = dagger_map(sys)
-    P_dag = dag(P)
-    # Each product and inverse is formed at most once per call.
-    twists = _twists(w, P_dag)
-    (Pd_P, _), (_, P_Pd), _, (Wp_inv, _), (braid_t, braid_inv) = twists
+    # (X^dagger)^{-1} = (X^{-1})^dagger: dagger is an antiautomorphism
+    P_dag, P_dag_inv = dag(P), dag(Pinv)
+    twists = _twists(w, inv, P_dag, P_dag_inv)
+    (Pd_P, _), (_, P_Pd), _, _, _ = twists
     maps = _antiautomorphisms(dag, twists)
     A, B, C = tri.A, tri.B, tri.C
     sc = tri.scalars
@@ -330,8 +395,8 @@ def antiautomorphism_report(sys, tri, w):
         rb.matrices_equal(f"{name}(C)", f(C), fc)
 
     # xi^2(X) = M^{-1} X M with M = (T^dagger)^{-1} T; identity iff M central
-    twists = (w.W, Wp_inv, braid_t)
-    twist_dag_invs = [dag(t).inverse() for t in twists]
+    twists = (w.W, inv.W_prime_inv, inv.T)
+    twist_dag_invs = [dag(t_inv) for t_inv in (inv.W_inv, w.W_prime, inv.T_inv)]
     for name, t, t_dag_inv in zip(("ddagger", "ddagger'", "ddagger''"),
                                   twists, twist_dag_invs):
         rb.record(f"{name}^2 = id", _is_scalar(t_dag_inv * t))
@@ -340,10 +405,9 @@ def antiautomorphism_report(sys, tri, w):
     # Composing the antiautomorphisms with twists T2 then T1 conjugates by
     # M = (T2^dagger)^{-1} T1; rho itself conjugates by P, so each variant
     # must agree with P up to a central factor.
-    Pinv = P.inverse()
     comp1 = Wp_inv_dag_inv * w.W
-    comp2 = braid_dag_inv * Wp_inv
-    comp3 = W_dag_inv * braid_t
+    comp2 = braid_dag_inv * inv.W_prime_inv
+    comp3 = W_dag_inv * inv.T
     for name, m in (("rho = ddagger o ddagger'", comp1),
                     ("rho = ddagger' o ddagger''", comp2),
                     ("rho = ddagger'' o ddagger", comp3)):
@@ -365,35 +429,35 @@ def antiautomorphism_report(sys, tri, w):
     # rho o xi_T o rho^-1 twists by P^dagger T P, rho^-1 o xi_T o rho by
     # (P^dagger)^{-1} T P^{-1}; two twists T, T' give the same
     # antiautomorphism iff T T'^{-1} is central.
-    P_dag_inv = P_dag.inverse()
     for name, m, t_inv in (
             ("ddagger' = rho o ddagger o rho^-1", P_dag * w.W * P, w.W_prime),
             ("ddagger'' = rho^-1 o ddagger o rho",
-             P_dag_inv * w.W * Pinv, braid_inv)):
+             P_dag_inv * w.W * Pinv, inv.T_inv)):
         rb.record(name, _is_scalar(m * t_inv))
     return rb.build()
 
 
-def sigma_and_psl2z(sys, tri, w):
+def sigma_and_psl2z(sys, tri, w, inv=None):
     """The order-2 automorphism sigma and the modular-group action.
 
     sigma conjugates by T = W W' W and swaps A, B while sending C to its
     dagger image.  rho^3 and sigma^2 are checked on every matrix unit as "P^3
     and T^2 are central", and the words in the two generators agree with
-    their r^3 = s^2 = 1 normal forms exactly when both are.
+    their r^3 = s^2 = 1 normal forms exactly when both are.  inv is
+    spectral_inverses(tri, w) when the caller has formed it already.
     """
     rb = ReportBuilder()
+    if inv is None:
+        inv = spectral_inverses(tri, w)
     A, B, C = tri.A, tri.B, tri.C
-    T = w.W * w.W_prime * w.W
-    Tinv = T.inverse()
+    T, Tinv = inv.T, inv.T_inv
     sigma = lambda x: T * x * Tinv
 
     rb.matrices_equal("sigma(A) = B", sigma(A), B)
     rb.matrices_equal("sigma(B) = A", sigma(B), A)
     rb.matrices_equal("sigma(C) = dagger(C)", sigma(C), dagger(sys, C))
 
-    P = w.P
-    Pinv = P.inverse()
+    P, Pinv = w.P, inv.P_inv
     rho = lambda x: Pinv * x * P
     rb.matrices_equal("rho(A) = B", rho(A), B)
     rb.matrices_equal("rho(B) = C", rho(B), C)

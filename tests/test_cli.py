@@ -12,6 +12,7 @@ from tbtridiag import serialize
 from tbtridiag.arrays import Family, classify, generate_family, q_equivalent, validate_array
 from tbtridiag.cli import main
 from tbtridiag.fields import QQ, PrimeField, QQi, parse_field
+from tbtridiag.matrices import Matrix
 from tbtridiag.system import build_system
 
 
@@ -446,3 +447,52 @@ def test_mutated_system_document_exits_2(system_docs, data):
     parent[last] = new
     code, out, err = _verify_stdin(doc)
     assert code == 2 and out == "" and err.startswith("ParseError: "), (path, new, err)
+
+
+# the cases of the benchmark's triple workload: (generate arguments, triple arguments)
+TRIPLE_CASES = [
+    (["--field", "Q(i)", "--family", "krawtchouk", "--d", "3"], []),
+    (["--field", "Q(i)", "--family", "qracah-odd", "--d", "3", "--q", "-1/2"], []),
+    (["--field", "Fp2:103", "--family", "krawtchouk", "--d", "5", "--h", "2",
+      "--h-star", "3"], []),
+    (["--field", "Q", "--family", "bannai-ito", "--d", "4", "--h", "3"], ["--beta", "-2"]),
+]
+
+
+def test_no_cli_path_inverts_a_matrix(capsys, tmp_path, monkeypatch):
+    commands = [["selftest"]]
+    for k, (gen_args, triple_args) in enumerate(TRIPLE_CASES):
+        path = str(tmp_path / f"arr{k}.json")
+        assert run(capsys, "generate", *gen_args, "-o", path)[0] == 0
+        commands += [["triple", "-i", path, *triple_args, *fmt]
+                     for fmt in ([], ["--format", "table"])]
+    expected = [run(capsys, *argv) for argv in commands]
+
+    def refuse(m):
+        raise AssertionError("Matrix.inverse called")
+
+    monkeypatch.setattr(Matrix, "inverse", refuse)
+    for argv, before in zip(commands, expected):
+        assert before[0] == 0 and before[2] == ""
+        assert run(capsys, *argv) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--field", "Q", "--family", "krawtchouk", "--d", "3", "--h", "-1/2"],
+    ["generate", "--field", "Q", "--family", "krawtchouk", "--d", "3", "--h-star", "-3/2"],
+    ["generate", "--field", "Q", "--family", "qracah-odd", "--d", "3", "--q", "-1/2"],
+    ["generate", "--field", "Fp:101", "--family", "krawtchouk", "--d", "3", "--h", "-5"],
+])
+def test_negative_element_as_a_separate_argument(capsys, argv):
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, *joined)
+
+
+def test_negative_beta_as_a_separate_argument(capsys, tmp_path):
+    path = str(tmp_path / "arr.json")
+    run(capsys, "generate", "--field", "Q", "--family", "small-d2", "--d", "2", "-o", path)
+    separate = run(capsys, "triple", "-i", path, "--beta", "-1/2")
+    assert separate == run(capsys, "triple", "-i", path, "--beta=-1/2")
+    assert separate[0] == 2 and separate[2].startswith("NoSquareRootInField")

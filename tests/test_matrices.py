@@ -17,6 +17,7 @@ from tbtridiag.matrices import (Matrix, _closure_rank, _ExactIntEchelon,
                                 primitive_idempotents, rank_one_idempotents,
                                 zeros)
 from tbtridiag.system import build_system, dagger
+from tbtridiag.triple import _spectral_sum
 
 KRAW_A = Matrix(QQ, [[0, 3, 0, 0], [1, 0, 2, 0], [0, 2, 0, 1], [0, 0, 3, 0]])
 KRAW_THETA = [3, 1, -1, -3]
@@ -513,3 +514,18 @@ def test_algebra_dimension_by_reachability_matches_the_closure(spec, data):
             for _ in range(data.draw(st.integers(1, 2)))]
     gens.insert(data.draw(st.integers(0, len(gens))), diagonal(fld, thetas))
     assert algebra_dimension(gens, n) == _closure_dimension(gens, n)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_spectral_sum_matches_boxed_reference(spec, data):
+    # sum t_i E_i is taken as one kernel product; the reference sums boxed
+    # entries
+    fld = parse_field(spec)
+    n, m, k = (data.draw(st.integers(1, 5)) for _ in range(3))
+    mats = [data.draw(_matrices(fld, n, m)) for _ in range(k)]
+    weights = [data.draw(_elements(fld)) for _ in range(k)]
+    expected = Matrix(fld, [[_boxed_dot([x[i, j] for x in mats], weights)
+                             for j in range(m)] for i in range(n)])
+    assert _typed(_spectral_sum(mats, weights)) == _typed(expected)

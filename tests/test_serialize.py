@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from tbtridiag.arrays import Family, generate_family
@@ -88,3 +90,65 @@ def test_decode_system_tolerates_broken_A():
     broken = decode_system(doc)
     assert broken.E is None and broken.S is None
     assert broken.E_star is not None
+
+
+def _triple_doc(fld, family, d, q=None):
+    system = build_system(generate_family(fld, family, d, q=q))
+    tri = build_C(system, triple_scalars(system))
+    return emit_triple(system, tri, build_W(tri))
+
+
+@pytest.fixture(scope="module")
+def triple_docs():
+    return {"krawtchouk": _triple_doc(QQi(), Family.KRAWTCHOUK, 3),
+            "qracah": _triple_doc(QQi(), Family.QRACAH_ODD, 3, q=2)}
+
+
+def _plus_one(doc, text):
+    fld = decode_system(doc["system"]).field
+    return fld.encode(fld.parse(text) + 1)
+
+
+@pytest.mark.parametrize("key, slot", [
+    ("beta", ()), ("rho", ()), ("h", ()), ("z", ()), ("q", ()), ("t", (1,)),
+    ("kappa", ()), ("W", (0, 1)), ("W_prime", (2, 2)), ("W_dprime", (1, 0)),
+    ("P", (3, 3)),
+])
+def test_triple_document_must_agree_with_its_system(triple_docs, key, slot):
+    doc = copy.deepcopy(triple_docs["qracah"])
+    decode_triple(doc)
+    if slot:
+        parent = doc[key]
+        for i in slot[:-1]:
+            parent = parent[i]
+        parent[slot[-1]] = _plus_one(doc, parent[slot[-1]])
+    else:
+        doc[key] = _plus_one(doc, doc[key])
+    with pytest.raises(ParseError, match=f"^stored {key} "):
+        decode_triple(doc)
+
+
+def test_triple_document_with_a_false_kappa_is_refused(triple_docs):
+    # W, W', W'' and P stay true, so every report would still pass
+    doc = copy.deepcopy(triple_docs["krawtchouk"])
+    doc["kappa"] = "5"
+    with pytest.raises(ParseError, match="^stored kappa disagrees"):
+        decode_triple(doc)
+
+
+def test_triple_document_q_present_exactly_when_the_case_has_one(triple_docs):
+    doc = copy.deepcopy(triple_docs["qracah"])
+    del doc["q"]
+    with pytest.raises(ParseError, match="^stored q disagrees"):
+        decode_triple(doc)
+    doc = copy.deepcopy(triple_docs["krawtchouk"])
+    doc["q"] = "2"
+    with pytest.raises(ParseError, match="^stored q disagrees"):
+        decode_triple(doc)
+
+
+def test_triple_document_with_a_misshapen_C_is_refused(triple_docs):
+    doc = copy.deepcopy(triple_docs["krawtchouk"])
+    doc["C"] = doc["C"][:-1]
+    with pytest.raises(ParseError, match="shapes"):
+        decode_triple(doc)

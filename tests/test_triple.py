@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tbtridiag.arrays import Family, generate_family, validate_array
-from tbtridiag.errors import BetaInvalid, NoSquareRootInField, NotSelfDual
+from tbtridiag.errors import BetaInvalid, NoSquareRootInField, NotSelfDual, Singular
 from tbtridiag.fields import QQ, PrimeField, QQi, parse_field
 from tbtridiag.matrices import Matrix, diagonal, identity
 from tbtridiag.system import build_system, dagger
@@ -219,9 +219,10 @@ def test_rho_conjugate_checks_compare_the_maps(golden1, monkeypatch):
 
 
 def test_twists_are_inverse_pairs(golden1, golden_bi4):
-    for system, _, w in (golden1, golden_bi4):
+    for system, tri, w in (golden1, golden_bi4):
         eye = identity(system.field, system.d + 1)
-        twists = triple._twists(w, dagger(system, w.P))
+        inv = triple.spectral_inverses(tri, w)
+        twists = triple._twists(w, inv, dagger(system, w.P), dagger(system, inv.P_inv))
         assert len(twists) == 5
         for t, t_inv in twists:
             assert t * t_inv == eye
@@ -368,3 +369,98 @@ def test_words_check_matches_enumeration_on_broken_wdata(golden_bi4):
     bad_both = dataclasses.replace(bad_w, P=scale * w.P)
     assert _words_check(system, tri, bad_both) == _enumerated_words_check(bad_both) \
         == (False, "word ss != its normal form 1")
+
+
+# ---------------------------------------------------------------------------
+# Inverses from the spectral data, against Gauss-Jordan as the oracle
+# ---------------------------------------------------------------------------
+
+GOLDEN_TRIPLES = [
+    ("Q", Family.BANNAI_ITO, 4, None, -2),
+    ("Q(i)", Family.KRAWTCHOUK, 3, None, None),
+    ("Q(i)", Family.QRACAH_ODD, 3, 2, None),
+    ("Fp:101", Family.KRAWTCHOUK, 3, None, None),
+    ("Fp2:103", Family.KRAWTCHOUK, 5, None, None),
+]
+
+
+def _golden(spec, family, d, q, beta):
+    fld = parse_field(spec)
+    return _triple(fld, family, d, q=q, beta=None if beta is None else fld(beta))
+
+
+def _counting_inverse(monkeypatch):
+    calls = []
+    real = Matrix.inverse
+
+    def inverse(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(Matrix, "inverse", inverse)
+    return calls
+
+
+def _dense_inverses(w):
+    T = w.W * w.W_prime * w.W
+    return triple.SpectralInverses(w.W.inverse(), w.W_prime.inverse(), w.P.inverse(),
+                                   T, T.inverse())
+
+
+@pytest.mark.parametrize("case", GOLDEN_TRIPLES)
+def test_spectral_inverses_equal_gauss_jordan(case, monkeypatch):
+    system, tri, w = _golden(*case)
+    calls = _counting_inverse(monkeypatch)
+    inv = triple.spectral_inverses(tri, w)
+    assert rho_automorphism(w, tri.A) == tri.B
+    assert calls == []
+    assert inv == _dense_inverses(w)
+    eye = identity(system.field, system.d + 1)
+    assert inv.W_inv * w.W == inv.P_inv * w.P == inv.T_inv * inv.T == eye
+
+
+def _reports(system, tri, w, inv=None):
+    return [r.to_dict() for r in (antiautomorphism_report(system, tri, w, inv),
+                                  sigma_and_psl2z(system, tri, w, inv))]
+
+
+def _broken_wdata(w, fld, d):
+    scale = diagonal(fld, range(2, d + 3))
+    t_plus_one = (w.t[0] + 1,) + w.t[1:]
+    return [
+        # certificate fails: P^3 != kappa I, or kappa = 0
+        (dataclasses.replace(w, kappa=w.kappa + 1), 1),
+        (dataclasses.replace(w, kappa=fld.zero), 1),
+        # W and W' are no longer the spectral sums of t
+        (dataclasses.replace(w, t=t_plus_one), 2),
+        (dataclasses.replace(w, t=(fld.zero,) + w.t[1:]), 2),
+        (dataclasses.replace(w, t=w.t[1:]), 2),
+        # W, then P, not what the triple's other data say: the reports fail
+        (dataclasses.replace(w, W=scale * w.W), 1),
+        (dataclasses.replace(w, P=scale * w.P), 1),
+    ]
+
+
+@pytest.mark.parametrize("case", GOLDEN_TRIPLES)
+def test_false_wdata_falls_back_to_the_dense_reports(case, monkeypatch):
+    system, tri, w = _golden(*case)
+    good = _reports(system, tri, w)
+    calls = _counting_inverse(monkeypatch)
+    for bad, fallbacks in _broken_wdata(w, system.field, system.d):
+        del calls[:]
+        derived = _reports(system, tri, bad)
+        # each report forms the inverses once, inverting only what failed
+        assert len(calls) == 2 * fallbacks
+        assert derived == _reports(system, tri, bad, _dense_inverses(bad))
+        if bad.W == w.W and bad.P == w.P:
+            assert derived == good
+
+
+def test_singular_wdata_raises_as_dense_inversion(golden_bi4):
+    system, tri, w = golden_bi4
+    zero = Matrix(QQ, [[0] * 5 for _ in range(5)])
+    for bad in (dataclasses.replace(w, W=zero), dataclasses.replace(w, W_prime=zero),
+                dataclasses.replace(w, P=zero)):
+        for report in (antiautomorphism_report, sigma_and_psl2z):
+            with pytest.raises(Singular, match="matrix is not invertible"):
+                report(system, tri, bad)

@@ -171,7 +171,7 @@ def test_criterion_05_involution_suite():
 
 def _run_dagger_suite(fld, q):
     for system in _systems(fld, q):
-        report = dagger_report(system, pairs=100)
+        report = dagger_report(system)
         assert report.passed, (system.array.family, report.failures())
 
 

@@ -158,6 +158,32 @@ def test_encoding_round_trips():
             assert fld.encode(fld.parse(s)) == s
 
 
+ROUND_TRIP_FIELDS = ["Q", "Q(i)", "Q(sqrt:2)", "Q(sqrt:-3/5)", "Q(sqrt:7/2)",
+                     "Fp:2", "Fp:101", "Fp:1000003", f"Fp:{(1 << 61) - 1}",
+                     "Fp2:3", "Fp2:103", "Fp2:1000003"]
+
+
+def _field_elements(fld):
+    if isinstance(fld, QuadraticExtension):
+        base = _field_elements(fld.base)
+        return st.tuples(base, base).map(lambda ab: fld(ab[0]) + fld.gen() * fld(ab[1]))
+    if fld is QQ:
+        return st.fractions().map(QQ)
+    return st.integers().map(fld)
+
+
+@pytest.mark.parametrize("spec", ROUND_TRIP_FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parse_inverts_encode(spec, data):
+    fld = parse_field(spec)
+    x = data.draw(_field_elements(fld))
+    text = fld.encode(x)
+    back = fld.parse(text)
+    assert back == x and back.value == x.value and type(back.value) is type(x.value)
+    assert fld.encode(back) == text
+
+
 def test_parse_accepts_base_elements_in_extension():
     Qi = QQi()
     assert Qi.parse("5") == Qi(5)

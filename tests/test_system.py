@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import tbtridiag
-
+from tbtridiag import system
 from tbtridiag.arrays import (AskeyWilsonSeq, Family, aw_sequence,
                               aw_sequence_nonzero, generate_family,
                               validate_array)
@@ -179,13 +180,85 @@ def test_verify_aw_relations_perturbed_rho(k3):
     assert fails[0].witness  # residual entry
 
 def test_dagger_fixes_and_reverses(k3):
-    report = dagger_report(k3, pairs=25)
+    report = dagger_report(k3)
     assert report.passed, report.failures()
     assert dagger(k3, k3.A) == k3.A
     R, L = raising_lowering(k3)
     assert dagger(k3, R) == L
     x = Matrix(QQ, [[1, 2, 0, 1], [0, 1, 5, 0], [3, 0, 1, 0], [0, 0, 2, 7]])
     assert dagger(k3, dagger(k3, x)) == x
+
+
+INVOLUTION = "dagger is an involution on 20 random matrices"
+ANTI = "dagger reverses products on 20 random pairs"
+
+
+def _random_pair_verdicts(s):
+    """The spot-check dagger_report made before it decided both properties on
+    matrix units: involution and product reversal on 20 seeded random pairs."""
+    fld = s.field
+    n = s.d + 1
+    dag = system.dagger_map(s)
+    rng = random.Random(0)
+
+    def rand_matrix():
+        return Matrix.from_raw(fld, [[fld._from_int(rng.randint(-9, 9)) for _ in range(n)]
+                                     for _ in range(n)])
+
+    ok_inv, ok_anti = True, True
+    for _ in range(20):
+        x, y = rand_matrix(), rand_matrix()
+        x_dag = dag(x)
+        if dag(x_dag) != x:
+            ok_inv = False
+        if dag(x * y) != dag(y) * x_dag:
+            ok_anti = False
+    return ok_inv, ok_anti
+
+
+def _verdicts(report):
+    by_name = {c.name: c for c in report.checks}
+    assert by_name[INVOLUTION].witness is None and by_name[ANTI].witness is None
+    return by_name[INVOLUTION].passed, by_name[ANTI].passed
+
+
+DAGGER_FIELDS = ["Q", "Q(i)", "Q(sqrt:2)", "Fp:101", "Fp2:103", "Fp:1000003"]
+
+
+def _dagger_systems(fld):
+    yield build_system(generate_family(fld, Family.SMALL_D1, 1))
+    for d in (1, 2, 3, 5):
+        yield build_system(generate_family(fld, Family.KRAWTCHOUK, d, h=1, h_star=2))
+    yield build_system(generate_family(fld, Family.BANNAI_ITO, 2))
+    yield build_system(generate_family(fld, Family.BANNAI_ITO, 4, h=3))
+
+
+@pytest.mark.parametrize("spec", DAGGER_FIELDS)
+def test_dagger_verdicts_match_random_pairs(spec):
+    for s in _dagger_systems(parse_field(spec)):
+        report = dagger_report(s)
+        assert report.passed, report.failures()
+        assert _verdicts(report) == _random_pair_verdicts(s) == (True, True)
+
+
+@pytest.mark.parametrize("spec", DAGGER_FIELDS)
+def test_dagger_verdicts_fail_on_a_corrupted_ratio(spec, monkeypatch):
+    exact = system.dagger_ratios
+
+    def corrupted(s):
+        r = exact(s)
+        r[0][2] = s.field._add(r[0][2], s.field._one_raw)
+        return r
+
+    monkeypatch.setattr(system, "dagger_ratios", corrupted)
+    for s in _dagger_systems(parse_field(spec)):
+        if s.d < 2:
+            continue
+        report = dagger_report(s)
+        assert _verdicts(report) == _random_pair_verdicts(s) == (False, False)
+        # A is tridiagonal and A* diagonal: entry (0, 2) leaves both fixed
+        failed = {c.name for c in report.failures()}
+        assert "dagger(A) = A" not in failed and "dagger(A*) = A*" not in failed
 
 
 def test_involutions(k3, qr3):

@@ -17,9 +17,12 @@ unital algebra generated by a set of matrices.
 Primitive idempotents come two ways.  For an irreducible tridiagonal matrix
 each one has rank one, and ``rank_one_idempotents`` builds it from its right
 and left eigenvectors, which the three-term recurrence gives in O(n) each.
-For any other matrix ``lagrange_idempotents`` interpolates densely; it is
-also the independent reference the tests compare the rank-one path with.
-``primitive_idempotents`` picks between the two.
+It returns the E_i alone: both eigenvectors have first entry 1, so
+``rank_one_factors`` reads them back, up to nonzero scalars, from row 0 and
+column 0 of each E_i.  For any other matrix ``lagrange_idempotents``
+interpolates densely; it is also the independent reference the tests compare
+the rank-one path with.  ``primitive_idempotents`` picks between the two,
+and it is the only caller of either.
 """
 
 from collections import deque
@@ -283,9 +286,8 @@ def rank_one_idempotents(x, eigenvalues):
 
     For each eigenvalue t_i the three-term recurrence gives the right
     eigenvector u_i of x and, run on x^t, the left eigenvector w_i, both with
-    first entry 1; then E_i = u_i w_i^t / (w_i^t u_i).  Returns
-    (E, right, left): right has the u_i as columns and left the w_i^t as
-    rows, so left * M * right holds the scalars w_i^t M u_j.  Returns None
+    first entry 1; then E_i = u_i w_i^t / (w_i^t u_i).  Returns the tuple of
+    the E_i; rank_one_factors reads u_i and w_i back off them.  Returns None
     unless x is square, irreducible tridiagonal and given one eigenvalue per
     row.  Raises like lagrange_idempotents: DuplicateEigenvalue on repeats,
     NotAnnihilated when some t_i is not an eigenvalue, which for such x is
@@ -311,7 +313,7 @@ def rank_one_idempotents(x, eigenvalues):
     below_inv = [field._inv(v) for v in below]
     above_inv = [field._inv(v) for v in above]
     add, mul = field._add, field._mul
-    E, us, ws = [], [], []
+    E = []
     for t in thetas:
         u = _eigenvector(field, diag, below, above_inv, t.value)
         w = _eigenvector(field, diag, above, below_inv, t.value)
@@ -323,16 +325,28 @@ def rank_one_idempotents(x, eigenvalues):
         scale = field._inv(norm)
         E.append(Matrix.from_raw(field, [[mul(a, b) for b in w]
                                          for a in [mul(v, scale) for v in u]]))
-        us.append(u)
-        ws.append(w)
-    return tuple(E), Matrix.from_raw(field, list(zip(*us))), Matrix.from_raw(field, ws)
+    return tuple(E)
+
+
+def rank_one_factors(idems):
+    """(left, right) for idempotents E_i = u_i w_i^t / (w_i^t u_i) whose u_i
+    and w_i have first entry 1, as rank_one_idempotents forms them.
+
+    Row i of left is row 0 of E_i, that is w_i^t / (w_i^t u_i), and column j
+    of right is column 0 of E_j, that is u_j / (w_j^t u_j).  So
+    (left * M * right)[i, j] is a nonzero multiple of w_i^t M u_j, and it
+    vanishes exactly when E_i M E_j does.
+    """
+    field = idems[0].field
+    return (Matrix.from_raw(field, [e.raw[0] for e in idems]),
+            Matrix.from_raw(field, zip(*[[row[0] for row in e.raw] for e in idems])))
 
 
 def primitive_idempotents(x, eigenvalues):
     """rank_one_idempotents when x is irreducible tridiagonal, else
     lagrange_idempotents; a tuple either way."""
     found = rank_one_idempotents(x, eigenvalues)
-    return found[0] if found else tuple(lagrange_idempotents(x, eigenvalues))
+    return found if found is not None else tuple(lagrange_idempotents(x, eigenvalues))
 
 
 # ---------------------------------------------------------------------------

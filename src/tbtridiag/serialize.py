@@ -12,10 +12,11 @@ Document kinds are recognized by their keys: an array document carries
 import json
 
 from .arrays import Family, FamilyTag, classify, generate_family, validate_array
-from .errors import NotAnnihilated, ParseError, TBTridiagError
+from .errors import ParseError, TBTridiagError
 from .fields import parse_field
-from .matrices import Matrix, diagonal, lagrange_idempotents, primitive_idempotents
-from .system import TBSystem, intersection_numbers, signed_sum, symmetrizer
+from .matrices import Matrix, diagonal, primitive_idempotents
+from .matrices import lagrange_idempotents  # noqa: F401  perfbench's tracer test checks this binding
+from .system import intersection_numbers, symmetrizer, system
 from .triple import LeonardTriple, spectral_elements, triple_scalars
 
 
@@ -73,6 +74,9 @@ def decode_array(doc):
         raise ParseError(f"malformed array document: {exc}") from None
     if d != len(theta) - 1:
         raise ParseError(f"d = {d} but theta has {len(theta)} entries")
+    if type(d) is not int:
+        # 3.0 == 3 and true == 1 in Python, not in JSON
+        raise ParseError(f"d = {json.dumps(d)} is not a JSON integer")
     arr = validate_array(fld, theta, theta_star)
     tag_doc = doc.get("family")
     if tag_doc is not None:
@@ -137,10 +141,11 @@ def decode_system(doc, arr=None):
     """Load a system document without enforcing construction identities.
 
     Stored A and A* are taken as-is so that verification can report on
-    hand-edited documents; idempotents of a non-diagonalizable A are left
-    unset rather than raising.  The stored intersection numbers and K must
-    be the ones the array gives (ParseError otherwise).  arr is
-    system_array(doc) when the caller has already decoded it.
+    hand-edited documents; system() forms the idempotents and leaves those of
+    a non-diagonalizable A unset rather than raising.  The stored
+    intersection numbers and K must be the ones the array gives (ParseError
+    otherwise).  arr is system_array(doc) when the caller has already
+    decoded it.
     """
     if arr is None:
         arr = system_array(doc)
@@ -162,15 +167,7 @@ def decode_system(doc, arr=None):
             raise ParseError(f"stored {key} disagrees with the eigenvalue array")
     if K != symmetrizer(fld, inters):
         raise ParseError("stored K disagrees with the eigenvalue array")
-    E_star = tuple(diagonal(fld, [fld.one if j == i else fld.zero for j in range(n)])
-                   for i in range(n))
-    try:
-        E = primitive_idempotents(A, arr.theta)
-        S = signed_sum(E)
-    except NotAnnihilated:
-        E, S = None, None
-    S_star = signed_sum(E_star)
-    return TBSystem(arr, inters, A, A_star, E, E_star, K, S, S_star)
+    return system(arr, inters, A, A_star, K)
 
 
 def emit_triple(sys, tri, w):
@@ -196,10 +193,11 @@ def emit_triple(sys, tri, w):
 def decode_triple(doc):
     """Load a triple document, returning (system, triple, wdata).
 
-    The stored beta, rho, h, z, q, weights t and kappa must be the ones the
-    decoded system gives, and W, W', W'' and P the spectral sums they predict
-    (ParseError naming the first that disagrees).  C stays as stored, so that
-    the reports can check a hand-edited one.
+    The stored A_star must be diag(theta), the stored beta, rho, h, z, q,
+    weights t and kappa the ones the decoded system gives, and W, W', W''
+    and P the spectral sums they predict (ParseError naming the first that
+    disagrees).  C stays as stored, so that the reports can check a
+    hand-edited one.
     """
     try:
         sys = decode_system(doc["system"])
@@ -217,14 +215,16 @@ def decode_triple(doc):
         raise ParseError("triple document with a non-diagonalizable A")
     if C.shape != sys.A.shape:
         raise ParseError("matrix shapes do not match the diameter")
+    theta = sys.array.theta
+    # as in build_C: A* = diag(theta), so its idempotents are the E*_i
+    if sys.A_star != diagonal(fld, theta):
+        raise ParseError("stored A_star is not diag(theta)")
     try:
         sc = triple_scalars(sys, stored["beta"])
     except TBTridiagError as exc:
         raise ParseError(f"stored beta gives no triple completion: {exc}") from None
-    theta = sys.array.theta
-    E_prime = tuple(lagrange_idempotents(sys.A_star, theta))
     E_dprime = primitive_idempotents(C, theta)
-    tri = LeonardTriple(sys.A, sys.A_star, C, sys.E, E_prime, E_dprime, sc)
+    tri = LeonardTriple(sys.A, sys.A_star, C, sys.E, sys.E_star, E_dprime, sc)
     w = spectral_elements(tri)
     expected = {"beta": sc.beta, "rho": sc.rho, "h": sc.h, "z": sc.z, "q": sc.q,
                 "t": w.t, "kappa": w.kappa, "W": w.W, "W_prime": w.W_prime,

@@ -14,7 +14,7 @@ from .arrays import is_self_dual, relatives
 from .errors import (DimensionMismatch, FieldMismatch, NotAnnihilated,
                      NotSelfDual, ZeroDenominator, require)
 from .matrices import (Matrix, algebra_dimension, diagonal, identity,
-                       lagrange_idempotents, rank_one_idempotents, zeros)
+                       primitive_idempotents, rank_one_factors, zeros)
 from .report import ReportBuilder
 
 
@@ -104,32 +104,46 @@ def symmetrizer(fld, inters):
     return diagonal(fld, k)
 
 
+def system(arr, inters, A, A_star, K):
+    """The TBSystem with these parts; its idempotents and involutions are
+    formed here and nowhere else.
+
+    The E*_i are the matrix units, E = primitive_idempotents(A, theta) (None
+    when some theta_i is not an eigenvalue of A), and S, S* the signed sums
+    of E and E* (S is None with E).  No identity is checked.
+    """
+    fld = arr.field
+    n = arr.d + 1
+    E_star = tuple(diagonal(fld, [fld.one if j == i else fld.zero for j in range(n)])
+                   for i in range(n))
+    try:
+        E = primitive_idempotents(A, arr.theta)
+    except NotAnnihilated:
+        E = None
+    return TBSystem(arr, inters, A, A_star, E, E_star, K,
+                    None if E is None else signed_sum(E), signed_sum(E_star))
+
+
 def build_system(arr):
     """Construct the TB tridiagonal system with eigenvalue array arr.
 
     All construction identities (idempotent resolution, A^t K = K A, the
     involution relations) are checked exactly; a failure raises
-    InvariantViolation.  The E_i come as rank-one products u_i w_i^t /
-    (w_i^t u_i), so E_i^2 = E_i by construction and E_i E_j = 0 (i != j)
-    reduces to the scalars w_i^t u_j.
+    InvariantViolation.  A is irreducible tridiagonal, so the E_i come as
+    rank-one products u_i w_i^t / (w_i^t u_i): E_i^2 = E_i by construction,
+    and E_i E_j = 0 (i != j) reduces to the scalars w_i^t u_j.
     """
     fld = arr.field
     d = arr.d
     n = d + 1
     inters = intersection_numbers(arr)
     A = _tridiagonal(fld, inters.c, inters.b, n)
-    A_star = diagonal(fld, arr.theta_star)
-    E_star = tuple(diagonal(fld, [fld.one if j == i else fld.zero for j in range(n)])
-                   for i in range(n))
-    # A is irreducible tridiagonal: intersection_numbers found no zero c_i, b_i
-    E, right, left = rank_one_idempotents(A, arr.theta)
-
-    K = symmetrizer(fld, inters)
-
-    S = signed_sum(E)
-    S_star = signed_sum(E_star)
+    sys = system(arr, inters, A, diagonal(fld, arr.theta_star), symmetrizer(fld, inters))
+    E, K, S, S_star = sys.E, sys.K, sys.S, sys.S_star
+    require(E is not None, "A is not annihilated by its eigenvalue factors")
 
     eye = identity(fld, n)
+    left, right = rank_one_factors(E)
     gram = left * right
     require(all(gram[i, j].is_zero() for i in range(n) for j in range(n) if i != j),
             "E_i E_j != 0 for some i != j")
@@ -141,8 +155,7 @@ def build_system(arr):
     require(A.transpose() * K == K * A, "A^t K != K A")
     require(S * S == eye and S_star * S_star == eye, "S^2 != I or S*^2 != I")
     require(S * S_star == S_star * S * fld(-1) ** d, "S S* != (-1)^d S* S")
-
-    return TBSystem(arr, inters, A, A_star, E, E_star, K, S, S_star)
+    return sys
 
 
 def signed_sum(mats):
@@ -179,96 +192,64 @@ def verify_axioms(sys):
     nearest-neighbour sandwich patterns for both idempotent families,
     (c) irreducibility of A, (d) A and A* generate the full matrix algebra,
     (e) the zero/nonzero pattern of the powers A^r for 0 <= r <= d.
+
+    The E_i are sys.E, formed once with the system; no idempotent is formed
+    here.  (e) is decided on A alone.  A^0 = I always fits.  An A that fits
+    at r = 1 is tridiagonal with nonzero off-diagonal entries, so A^r has
+    bandwidth r and (A^r)[i, i+r], (A^r)[i+r, i] are products of r of those
+    entries, nonzero: every r fits.  So (e) has the verdict and witness of
+    the r = 1 scan, which is also the test for rank-one idempotents.
     """
     rb = ReportBuilder()
     fld = sys.field
-    d = sys.d
-    n = d + 1
-    theta = sys.array.theta
+    n = sys.d + 1
     A, A_star = sys.A, sys.A_star
     eye = identity(fld, n)
 
     prod = eye
-    for t in theta:
+    for t in sys.array.theta:
         prod = prod * (A - eye * t)
     rb.matrix_zero("diagonalizable: product of eigenvalue factors vanishes", prod)
 
+    # each pattern check reports the first entry, in row order, that breaks it
     zero_raw = fld._zero_raw
-    ok, witness = True, None
-    for i in range(n):
-        for j in range(n):
-            nonzero = A.raw[i][j] != zero_raw
-            if abs(i - j) == 1 and not nonzero:
-                ok, witness = False, f"A[{i},{j}] = 0 on the off-diagonal"
-            elif abs(i - j) != 1 and nonzero:
-                ok, witness = False, f"A[{i},{j}] = {A[i, j]} off the tridiagonal band"
-            if not ok:
-                break
-        if not ok:
-            break
-    rb.record("sandwich pattern: E*_i A E*_j", ok, witness)
+    misfits = [(i, j, v != zero_raw) for i, row in enumerate(A.raw)
+               for j, v in enumerate(row) if (v != zero_raw) != (abs(i - j) == 1)]
+    witness = next((f"A[{i},{j}] = {A[i, j]} off the tridiagonal band" if nonzero
+                    else f"A[{i},{j}] = 0 on the off-diagonal"
+                    for i, j, nonzero in misfits), None)
+    rb.record("sandwich pattern: E*_i A E*_j", witness is None, witness)
+    band_witness = next((f"(A^1)[{i},{j}] = {A[i, j]} != 0" if nonzero
+                         else f"(A^1)[{i},{j}] = 0"
+                         for i, j, nonzero in misfits if i != j), None)
 
-    # For rank-one E_i = u_i w_i^t / (w_i^t u_i), E_i A* E_j vanishes iff the
-    # scalar w_i^t A* u_j does, whatever A* is; other A take the dense path.
-    try:
-        found = rank_one_idempotents(A, theta)
-        if found is None:
-            E = lagrange_idempotents(A, theta)
-            vanishes = lambda i, j: (E[i] * A_star * E[j]).is_zero()
-        else:
-            _, right, left = found
-            scalars = left * (A_star * right)
-            vanishes = lambda i, j: scalars.raw[i][j] == zero_raw
-    except NotAnnihilated:
-        vanishes = None
-    if vanishes is None:
+    E = sys.E
+    if E is None:
         rb.record("sandwich pattern: E_i A* E_j", False,
                   "primitive idempotents of A unavailable (not annihilated)")
     else:
-        ok, witness = True, None
-        for i in range(n):
-            for j in range(n):
-                zero = vanishes(i, j)
-                if abs(i - j) == 1 and zero:
-                    ok, witness = False, f"E_{i} A* E_{j} = 0"
-                elif abs(i - j) != 1 and not zero:
-                    ok, witness = False, f"E_{i} A* E_{j} != 0"
-                if not ok:
-                    break
-            if not ok:
-                break
-        rb.record("sandwich pattern: E_i A* E_j", ok, witness)
+        if band_witness is None:
+            # rank-one E_i: E_i A* E_j vanishes iff the scalar w_i^t A* u_j
+            # does, whatever A* is
+            left, right = rank_one_factors(E)
+            scalars = left * (A_star * right)
+            vanishes = lambda i, j: scalars.raw[i][j] == zero_raw
+        else:
+            vanishes = lambda i, j: (E[i] * A_star * E[j]).is_zero()
+        witness = next((f"E_{i} A* E_{j} = 0" if abs(i - j) == 1 else f"E_{i} A* E_{j} != 0"
+                        for i in range(n) for j in range(n)
+                        if vanishes(i, j) == (abs(i - j) == 1)), None)
+        rb.record("sandwich pattern: E_i A* E_j", witness is None, witness)
 
-    ok, witness = True, None
-    for i in range(1, n):
-        if A[i, i - 1].is_zero() or A[i - 1, i].is_zero():
-            ok, witness = False, f"c_{i} * b_{i - 1} = 0"
-            break
-    rb.record("irreducible: c_i b_{i-1} != 0", ok, witness)
+    witness = next((f"c_{i} * b_{i - 1} = 0" for i in range(1, n)
+                    if A[i, i - 1].is_zero() or A[i - 1, i].is_zero()), None)
+    rb.record("irreducible: c_i b_{i-1} != 0", witness is None, witness)
 
     dim = algebra_dimension([A, A_star], n)
     rb.record("A, A* generate the full matrix algebra", dim == n * n,
               None if dim == n * n else f"algebra dimension {dim} != {n * n}")
 
-    ok, witness = True, None
-    power = eye
-    for r in range(n):
-        if not ok:
-            break
-        for i in range(n):
-            for j in range(n):
-                nonzero = power.raw[i][j] != zero_raw
-                if abs(i - j) > r and nonzero:
-                    ok, witness = False, f"(A^{r})[{i},{j}] = {power[i, j]} != 0"
-                elif abs(i - j) == r and not nonzero:
-                    ok, witness = False, f"(A^{r})[{i},{j}] = 0"
-                if not ok:
-                    break
-            if not ok:
-                break
-        power = power * A
-    rb.record("power pattern: E*_i A^r E*_j", ok, witness)
-
+    rb.record("power pattern: E*_i A^r E*_j", band_witness is None, band_witness)
     return rb.build()
 
 

@@ -184,6 +184,27 @@ def test_json_number_scalars_rejected(capsys, tmp_path):
     assert code == 2 and "ParseError" in err
 
 
+@pytest.mark.parametrize("d, theta, shown", [
+    (3.0, ["3", "1", "-1", "-3"], "3.0"),
+    (True, ["1", "-1"], "true"),
+])
+def test_d_must_be_a_json_integer(capsys, tmp_path, d, theta, shown):
+    # 3.0 == 3 and True == 1 in Python, so both once verified with exit 0
+    doc = {"field": "Q", "d": d, "theta": theta, "theta_star": theta}
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "-i", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"ParseError: d = {shown} is not a JSON integer\n"
+    # the array of a system document is decoded the same way
+    sys_path = tmp_path / "sys.json"
+    sys_doc = serialize.emit_system(build_system(serialize.decode_array(
+        dict(doc, d=len(theta) - 1))))
+    sys_doc["array"]["d"] = d
+    sys_path.write_text(json.dumps(sys_doc))
+    assert run(capsys, "verify", "-i", str(sys_path)) == (2, "", err)
+
+
 def test_string_in_place_of_a_list_rejected(capsys, tmp_path):
     path = tmp_path / "arr.json"
     path.write_text(json.dumps({"field": "Q", "d": 3, "theta": "3113",

@@ -14,8 +14,8 @@ from tbtridiag.matrices import (Matrix, _closure_rank, _ExactIntEchelon,
                                 _FieldEchelon, algebra_dimension,
                                 anticommutator, column, commutator, diagonal,
                                 identity, lagrange_idempotents, poly_eval,
-                                primitive_idempotents, rank_one_idempotents,
-                                zeros)
+                                primitive_idempotents, rank_one_factors,
+                                rank_one_idempotents, zeros)
 from tbtridiag.system import build_system, dagger
 from tbtridiag.triple import _spectral_sum
 
@@ -162,23 +162,28 @@ def test_rank_one_idempotents_equal_lagrange(spec):
             arr = generate_family(fld, family, d, **kwargs)
             a = build_system(arr).A
             expected = lagrange_idempotents(a, arr.theta)
-            assert list(rank_one_idempotents(a, arr.theta)[0]) == expected, (family, d)
+            assert list(rank_one_idempotents(a, arr.theta)) == expected, (family, d)
             # a nonzero diagonal shifts every eigenvalue; the transpose swaps
             # the roles of the right and left eigenvectors
             shifted = a + identity(fld, d + 1) * 3
-            assert list(rank_one_idempotents(shifted, [t + 3 for t in arr.theta])[0]) \
+            assert list(rank_one_idempotents(shifted, [t + 3 for t in arr.theta])) \
                 == lagrange_idempotents(shifted, [t + 3 for t in arr.theta])
-            assert [e.transpose() for e in rank_one_idempotents(a.transpose(), arr.theta)[0]] \
+            assert [e.transpose() for e in rank_one_idempotents(a.transpose(), arr.theta)] \
                 == expected
 
 
 def test_rank_one_factors_rebuild_the_idempotents():
-    es, right, left = rank_one_idempotents(KRAW_A, KRAW_THETA)
+    # row 0 of E_i is w_i^t / N_i and column 0 is u_i / N_i, N_i = w_i^t u_i,
+    # so E_i = (column 0)(row 0) / E_i[0, 0] with E_i[0, 0] = 1 / N_i
+    es = rank_one_idempotents(KRAW_A, KRAW_THETA)
+    left, right = rank_one_factors(es)
     gram = left * right
     for i, e in enumerate(es):
         u = Matrix(QQ, [[right[k, i]] for k in range(4)])
         w = Matrix(QQ, [list(left.rows[i])])
-        assert e == u * w * gram[i, i].inverse()
+        assert u == Matrix(QQ, [[e[k, 0]] for k in range(4)])
+        assert e == u * w * e[0, 0].inverse()
+        assert gram[i, i] == e[0, 0]
         assert all(gram[i, j].is_zero() for j in range(4) if j != i)
 
 
@@ -193,7 +198,7 @@ def test_rank_one_idempotents_need_an_irreducible_tridiagonal():
 
 def test_primitive_idempotents_pick_the_path():
     assert primitive_idempotents(KRAW_A, KRAW_THETA) \
-        == rank_one_idempotents(KRAW_A, KRAW_THETA)[0]
+        == rank_one_idempotents(KRAW_A, KRAW_THETA)
     x = diagonal(QQ, [5, 7, 11])
     assert primitive_idempotents(x, [5, 7, 11]) == tuple(lagrange_idempotents(x, [5, 7, 11]))
 
@@ -529,3 +534,30 @@ def test_spectral_sum_matches_boxed_reference(spec, data):
     expected = Matrix(fld, [[_boxed_dot([x[i, j] for x in mats], weights)
                              for j in range(m)] for i in range(n)])
     assert _typed(_spectral_sum(mats, weights)) == _typed(expected)
+
+
+@st.composite
+def _rank_one_idempotents(draw, fld, n):
+    """E = u w^t / (w^t u) with u[0] = w[0] = 1, as rank_one_idempotents forms
+    them; w = e_0 where w^t u vanishes.  Built on boxed entries."""
+    u = [fld.one] + [draw(_elements(fld)) for _ in range(n - 1)]
+    w = [fld.one] + [draw(_elements(fld)) for _ in range(n - 1)]
+    norm = _boxed_dot(w, u)
+    if norm.is_zero():
+        w, norm = [fld.one] + [fld.zero] * (n - 1), fld.one
+    return Matrix(fld, [[a * b / norm for b in w] for a in u])
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rank_one_factors_decide_sandwiches(spec, data):
+    fld = parse_field(spec)
+    n = data.draw(st.integers(1, 5))
+    idems = [data.draw(_rank_one_idempotents(fld, n)) for _ in range(data.draw(st.integers(1, 3)))]
+    m = data.draw(_matrices(fld, n, n))
+    left, right = rank_one_factors(idems)
+    scalars = left * m * right
+    for i, ei in enumerate(idems):
+        for j, ej in enumerate(idems):
+            assert scalars[i, j].is_zero() == _boxed_mul(_boxed_mul(ei, m), ej).is_zero()

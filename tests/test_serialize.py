@@ -152,3 +152,15 @@ def test_triple_document_with_a_misshapen_C_is_refused(triple_docs):
     doc["C"] = doc["C"][:-1]
     with pytest.raises(ParseError, match="shapes"):
         decode_triple(doc)
+
+
+@pytest.mark.parametrize("slot, value", [((0, 0), "5"), ((0, 1), "1")])
+def test_triple_document_with_a_false_a_star_is_refused(triple_docs, slot, value):
+    # E' is taken as the matrix units E*_i, which needs A* = diag(theta); a
+    # false diagonal entry once raised NotAnnihilated, an off-diagonal one
+    # blamed W_prime
+    doc = copy.deepcopy(triple_docs["krawtchouk"])
+    i, j = slot
+    doc["system"]["A_star"][i][j] = value
+    with pytest.raises(ParseError, match="^stored A_star is not diag"):
+        decode_triple(doc)

@@ -328,6 +328,118 @@ def test_sandwich_scalars_agree_with_dense_products(k3, entry):
     assert check.passed == (entry is None)
 
 
+def _power_chain(s):
+    """The power-pattern verdict and witness from the A^r chain that
+    verify_axioms multiplied out before it decided the pattern on A alone."""
+    n = s.d + 1
+    power = identity(s.field, n)
+    for r in range(n):
+        for i in range(n):
+            for j in range(n):
+                if abs(i - j) > r and not power[i, j].is_zero():
+                    return False, f"(A^{r})[{i},{j}] = {power[i, j]} != 0"
+                if abs(i - j) == r and power[i, j].is_zero():
+                    return False, f"(A^{r})[{i},{j}] = 0"
+        power = power * s.A
+    return True, None
+
+
+POWER_TAMPERS = {"off-band entry": [(0, 2, 5)], "far off-band entry": [(4, 0, -3)],
+                 "zeroed b_1": [(1, 2, 0)], "zeroed c_3": [(3, 2, 0)],
+                 "nonzero diagonal entry": [(1, 1, -1)],
+                 "diagonal and off-band": [(2, 2, 7), (3, 0, 1)],
+                 "zeroed b_0 and off-band": [(0, 1, 0), (2, 4, 2)]}
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:101", "Q(i)", "Fp2:103"])
+def test_power_pattern_matches_the_power_chain(spec):
+    fld = parse_field(spec)
+    built = [build_system(generate_family(fld, Family.KRAWTCHOUK, 4, h=1, h_star=2)),
+             build_system(generate_family(fld, Family.BANNAI_ITO, 4))]
+    systems = list(built)
+    for s in built:
+        for edits in POWER_TAMPERS.values():
+            doc = emit_system(s)
+            for i, j, value in edits:
+                doc["A"][i][j] = fld.encode(fld(value))
+            systems.append(decode_system(doc))
+    verdicts = []
+    for s in systems:
+        check = next(c for c in verify_axioms(s) if c.name == "power pattern: E*_i A^r E*_j")
+        verdicts.append((check.passed, check.witness))
+        assert verdicts[-1] == _power_chain(s)
+    assert verdicts[:2] == [(True, None)] * 2
+    assert sum(ok for ok, _ in verdicts) == 2 + 2   # the diagonal entry keeps the pattern
+
+
+def _counting(monkeypatch, names):
+    """Count the calls of these matrices functions through every module of
+    the package that binds them."""
+    from tbtridiag import matrices, serialize, triple
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(matrices, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+        for module in (matrices, serialize, system, triple):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _krawtchouk_doc(fld, off_band):
+    """The Krawtchouk d=4 system document; with off_band, its A conjugated by
+    the unipotent I + e_02, which puts A off the band but keeps it
+    annihilated by its eigenvalue factors, so its E_i exist (by Lagrange)."""
+    doc = emit_system(build_system(generate_family(fld, Family.KRAWTCHOUK, 4)))
+    if off_band:
+        eye = identity(fld, 5)
+        unit = Matrix(fld, [[int((i, j) == (0, 2)) for j in range(5)] for i in range(5)])
+        a = (eye + unit) * decode_system(doc).A * (eye - unit)
+        doc["A"] = [[fld.encode(v) for v in row] for row in a.rows]
+    return doc
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:101"])
+@pytest.mark.parametrize("off_band", [False, True])
+def test_verify_of_a_system_document_forms_the_idempotents_once(
+        capsys, tmp_path, monkeypatch, spec, off_band):
+    from tbtridiag.cli import main
+
+    doc = _krawtchouk_doc(parse_field(spec), off_band)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    calls = _counting(monkeypatch, ("rank_one_idempotents", "lagrange_idempotents"))
+    code = main(["verify", "-i", str(path)])
+    capsys.readouterr()
+    assert code == (1 if off_band else 0)
+    assert calls == {"rank_one_idempotents": 1, "lagrange_idempotents": int(off_band)}
+
+
+def test_verify_axioms_forms_no_idempotent(k3, monkeypatch):
+    from tbtridiag import matrices
+
+    tampered = decode_system(_krawtchouk_doc(QQ, off_band=True))
+    assert tampered.E is not None
+    expected = verify_axioms(tampered)
+    built = (k3, build_system(generate_family(parse_field("Fp2:103"), Family.BANNAI_ITO, 4)))
+
+    def refuse(*args):
+        raise AssertionError("verify_axioms formed an idempotent")
+
+    for module in (matrices, system):
+        for name in ("rank_one_idempotents", "lagrange_idempotents", "primitive_idempotents"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for s in built:
+        report = verify_axioms(s)
+        assert report.passed, report.failures()
+    assert verify_axioms(tampered) == expected
+
+
 _CORRUPTED_BUILD = """
 import sys
 from tbtridiag import system
@@ -337,15 +449,15 @@ from tbtridiag.fields import QQ
 
 if __debug__:
     sys.exit("assertions are on")
-real = system.rank_one_idempotents
+real = system.primitive_idempotents
 
 
 def swapped(x, eigenvalues):
-    E, right, left = real(x, eigenvalues)
-    return (E[1], E[0]) + E[2:], right, left
+    E = real(x, eigenvalues)
+    return (E[1], E[0]) + E[2:]
 
 
-system.rank_one_idempotents = swapped
+system.primitive_idempotents = swapped
 try:
     system.build_system(generate_family(QQ, Family.KRAWTCHOUK, 3))
 except InvariantViolation as exc:

@@ -133,13 +133,7 @@ def _full_verification(system):
     except TBTridiagError as exc:
         reports.append(VerificationReport(
             (CheckResult("Askey-Wilson relations", False, str(exc)),)))
-    if system.E is not None:
-        reports.append(involutions_check(system))
-    else:
-        reports.append(VerificationReport((CheckResult(
-            "involutions", False, "idempotents of A unavailable"),)))
-    reports.append(dagger_report(system))
-    return combine(*reports)
+    return combine(*reports, involutions_check(system), dagger_report(system))
 
 
 def cmd_verify(args):

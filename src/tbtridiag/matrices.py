@@ -11,8 +11,11 @@ operations are exact; equality is entrywise structural equality.  Entries
 are ``FieldElement``s only at the API: ``m[i, j]`` and the ``rows`` view box
 them, and ``Matrix(field, rows)`` coerces its input and unboxes it.
 The module also provides the spectral toolkit used throughout: polynomial
-evaluation at a matrix, primitive idempotents, and the dimension of the
-unital algebra generated by a set of matrices.
+evaluation at a matrix, primitive idempotents, the dimension of the unital
+algebra generated by a set of matrices, and ``spectral_sum``, the one way
+the package forms a sum t_0 X_0 + ... + t_d X_d (S and the resolutions of
+I and A in system.py, W, W', W'' and their inverses in triple.py): a single
+kernel product.
 
 Primitive idempotents come two ways.  For an irreducible tridiagonal matrix
 each one has rank one, and ``rank_one_idempotents`` builds it from its right
@@ -124,20 +127,6 @@ class Matrix:
         s, mul = field(other).value, field._mul
         return Matrix.from_raw(field, [[mul(s, a) for a in r] for r in self.raw])
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("matrix powers take nonnegative integer exponents")
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("power of a non-square matrix")
-        out = identity(self.field, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -213,6 +202,16 @@ def commutator(x, y):
 
 def anticommutator(x, y):
     return x * y + y * x
+
+
+def spectral_sum(mats, weights):
+    """sum t_i X_i as one product in the field's kernel: the n^2 x k matrix
+    with the entries of X_i in column i, times the column of the t_i."""
+    fld, m = mats[0].field, mats[0].ncols
+    flat = fld._matmul(list(zip(*([v for row in x.raw for v in row] for x in mats))),
+                       [[fld(t).value for t in weights]])
+    return Matrix.from_raw(fld, [[v for (v,) in flat[i:i + m]]
+                                 for i in range(0, len(flat), m)])
 
 
 def poly_eval(coeffs, x):

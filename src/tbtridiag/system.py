@@ -14,7 +14,8 @@ from .arrays import is_self_dual, relatives
 from .errors import (DimensionMismatch, FieldMismatch, NotAnnihilated,
                      NotSelfDual, ZeroDenominator, require)
 from .matrices import (Matrix, algebra_dimension, diagonal, identity,
-                       primitive_idempotents, rank_one_factors, zeros)
+                       primitive_idempotents, rank_one_factors, spectral_sum,
+                       zeros)
 from .report import ReportBuilder
 
 
@@ -109,8 +110,10 @@ def system(arr, inters, A, A_star, K):
     formed here and nowhere else.
 
     The E*_i are the matrix units, E = primitive_idempotents(A, theta) (None
-    when some theta_i is not an eigenvalue of A), and S, S* the signed sums
-    of E and E* (S is None with E).  No identity is checked.
+    when some theta_i is not an eigenvalue of A), S = sum (-1)^i E_i by
+    spectral_sum (None with E) and S* = diag((-1)^k), the same sum of the
+    E*_i.  This is the only place S is formed, which involutions_check relies
+    on.  No identity is checked.
     """
     fld = arr.field
     n = arr.d + 1
@@ -120,8 +123,9 @@ def system(arr, inters, A, A_star, K):
         E = primitive_idempotents(A, arr.theta)
     except NotAnnihilated:
         E = None
+    signs = [fld((-1) ** i) for i in range(n)]
     return TBSystem(arr, inters, A, A_star, E, E_star, K,
-                    None if E is None else signed_sum(E), signed_sum(E_star))
+                    None if E is None else spectral_sum(E, signs), diagonal(fld, signs))
 
 
 def build_system(arr):
@@ -147,23 +151,12 @@ def build_system(arr):
     gram = left * right
     require(all(gram[i, j].is_zero() for i in range(n) for j in range(n) if i != j),
             "E_i E_j != 0 for some i != j")
-    acc_e, acc_te = zeros(fld, n), zeros(fld, n)
-    for i in range(n):
-        acc_e = acc_e + E[i]
-        acc_te = acc_te + E[i] * arr.theta[i]
-    require(acc_e == eye and acc_te == A, "sum E_i != I or sum theta_i E_i != A")
+    require(spectral_sum(E, [fld.one] * n) == eye and spectral_sum(E, arr.theta) == A,
+            "sum E_i != I or sum theta_i E_i != A")
     require(A.transpose() * K == K * A, "A^t K != K A")
     require(S * S == eye and S_star * S_star == eye, "S^2 != I or S*^2 != I")
     require(S * S_star == S_star * S * fld(-1) ** d, "S S* != (-1)^d S* S")
     return sys
-
-
-def signed_sum(mats):
-    """sum (-1)^i mats[i]."""
-    acc = mats[0]
-    for i, m in enumerate(mats[1:], start=1):
-        acc = acc - m if i % 2 else acc + m
-    return acc
 
 
 def raising_lowering(sys):
@@ -344,35 +337,49 @@ def dagger_report(sys):
     return rb.build()
 
 
+def is_antidiagonal(m):
+    """Whether every nonzero entry m[k, i] of the n x n matrix m has k + i = n - 1."""
+    zero, last = m.field._zero_raw, m.nrows - 1
+    return all(v == zero for k, row in enumerate(m.raw)
+               for i, v in enumerate(row) if k + i != last)
+
+
 def involutions_check(sys):
-    """Verify the commutation table of the sign involutions S and S*."""
+    """Verify the commutation table of the sign involutions S and S*.
+
+    Without the idempotents of A there is no S, and the report is the single
+    failed check "involutions".  S E*_i keeps column i of S and E*_{d-i} S
+    keeps row d-i, so "S E*_i = E*_{d-i} S" holds for every i exactly when S
+    is antidiagonal.  S = sum (-1)^i E_i as system forms it, so by
+    distributivity sum (-1)^i (E_i A* + A* E_i) is S A* + A* S, both already
+    formed for "S A* = -A* S".
+    """
     rb = ReportBuilder()
+    if sys.E is None:
+        rb.record("involutions", False, "idempotents of A unavailable")
+        return rb.build()
     fld = sys.field
     n = sys.d + 1
     A, B, S, Ss = sys.A, sys.A_star, sys.S, sys.S_star
+    SB, BS = S * B, B * S
     rb.matrices_equal("S^2 = I", S * S, identity(fld, n))
     rb.matrices_equal("S*^2 = I", Ss * Ss, identity(fld, n))
     rb.matrices_equal("S A = A S", S * A, A * S)
-    rb.matrices_equal("S A* = -A* S", S * B, -(B * S))
+    rb.matrices_equal("S A* = -A* S", SB, -BS)
     rb.matrices_equal("S* A* = A* S*", Ss * B, B * Ss)
     rb.matrices_equal("S* A = -A S*", Ss * A, -(A * Ss))
-    ok = all(S * sys.E_star[i] == sys.E_star[sys.d - i] * S for i in range(n))
-    rb.record("S E*_i = E*_{d-i} S", ok)
+    rb.record("S E*_i = E*_{d-i} S", is_antidiagonal(S))
     ok = all(Ss * sys.E[i] == sys.E[sys.d - i] * Ss for i in range(n))
     rb.record("S* E_i = E_{d-i} S*", ok)
     rb.matrices_equal("S S* = (-1)^d S* S", S * Ss, Ss * S * fld(-1) ** sys.d)
-    acc = zeros(fld, n)
-    for i in range(n):
-        term = sys.E[i] * B + B * sys.E[i]
-        acc = acc - term if i % 2 else acc + term
-    rb.matrix_zero("sum (-1)^i (E_i A* + A* E_i) = 0", acc)
+    rb.matrix_zero("sum (-1)^i (E_i A* + A* E_i) = 0", SB + BS)
     # the relative's A and A* as build_system would make them
     down = relatives(sys.array)["down"]
     inters = intersection_numbers(down)
     rb.matrices_equal("S A S = A of the reversed-dual relative", S * A * S,
                       _tridiagonal(fld, inters.c, inters.b, n))
     rb.matrices_equal("S A* S = A* of the reversed-dual relative",
-                      S * B * S, diagonal(fld, down.theta_star))
+                      SB * S, diagonal(fld, down.theta_star))
     return rb.build()
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from .arrays import aw_sequence, fundamental_parameter, is_self_dual, ANY_BETA
 from .errors import (BetaInvalid, KappaMismatch, NoSquareRootInField,
                      NotSelfDual, RelationViolation, require)
-from .matrices import Matrix, diagonal, identity, primitive_idempotents
+from .matrices import (Matrix, diagonal, identity, primitive_idempotents,
+                       spectral_sum)
 from .recurrences import solve_q
 from .report import ReportBuilder
 from .system import dagger, dagger_map
@@ -183,16 +184,6 @@ def _weights(sc, d):
     return tuple(h ** i * zinv ** i * q ** (i * (d - i)) for i in range(d + 1))
 
 
-def _spectral_sum(idems, weights):
-    """sum t_i E_i as one product in the field's kernel: the n^2 x k matrix
-    with the entries of E_i in column i, times the column of the t_i."""
-    fld, m = idems[0].field, idems[0].ncols
-    flat = fld._matmul(list(zip(*(sum(e.raw, ()) for e in idems))),
-                       [[fld(t).value for t in weights]])
-    return Matrix.from_raw(fld, [[v for (v,) in flat[i:i + m]]
-                                 for i in range(0, len(flat), m)])
-
-
 def expected_kappa(sc, d):
     """The predicted scalar with P^3 = kappa I."""
     fld = sc.beta.field
@@ -209,9 +200,9 @@ def spectral_elements(tri):
     and the expected kappa, formed without checking any identity."""
     sc, d = tri.scalars, tri.d
     t = _weights(sc, d)
-    W = _spectral_sum(tri.E, t)
-    W_prime = _spectral_sum(tri.E_prime, t)
-    return WData(W, W_prime, _spectral_sum(tri.E_dprime, t), W_prime * W, t,
+    W = spectral_sum(tri.E, t)
+    W_prime = spectral_sum(tri.E_prime, t)
+    return WData(W, W_prime, spectral_sum(tri.E_dprime, t), W_prime * W, t,
                  expected_kappa(sc, d))
 
 
@@ -247,7 +238,7 @@ def _certified_inverse(x, candidate):
 def _spectral_inverse(x, idems, t):
     """x^{-1} = sum t_i^{-1} E_i for x = sum t_i E_i."""
     candidate = None if any(ti.is_zero() for ti in t) else \
-        _spectral_sum(idems, [ti.inverse() for ti in t])
+        spectral_sum(idems, [ti.inverse() for ti in t])
     return _certified_inverse(x, candidate)
 
 

@@ -11,14 +11,14 @@ from tbtridiag.arrays import (AskeyWilsonSeq, Family, aw_sequence,
                               q_equivalent, validate_array)
 from tbtridiag.errors import InvalidArray
 from tbtridiag.fields import QQ, PrimeField, QQi
-from tbtridiag.matrices import identity
+from tbtridiag.matrices import identity, spectral_sum
 from tbtridiag.serialize import decode_system, emit_system
 from tbtridiag.system import (build_system, dagger_report, intersection_numbers,
                               involutions_check, sd_isomorphism,
                               verify_aw_relations, verify_axioms)
 from tbtridiag.triple import (WData, antiautomorphism_report, braid_check,
                               build_C, build_W, sigma_and_psl2z,
-                              triple_scalars, _spectral_sum)
+                              triple_scalars)
 
 H_VALUES = (1, 2, -3)
 Q_VALUES = (2, 3, Fraction(1, 2))
@@ -334,10 +334,10 @@ def test_criterion_10_negative_witnesses():
     tri = build_C(sys_i, sc)
     w = build_W(tri)
     bad_t = (w.t[0], w.t[1] + 1)
-    bad_w = WData(_spectral_sum(tri.E, bad_t),
-                  _spectral_sum(tri.E_prime, bad_t),
-                  _spectral_sum(tri.E_dprime, bad_t),
-                  _spectral_sum(tri.E_prime, bad_t) * _spectral_sum(tri.E, bad_t),
+    bad_w = WData(spectral_sum(tri.E, bad_t),
+                  spectral_sum(tri.E_prime, bad_t),
+                  spectral_sum(tri.E_dprime, bad_t),
+                  spectral_sum(tri.E_prime, bad_t) * spectral_sum(tri.E, bad_t),
                   bad_t, w.kappa)
     report = braid_check(bad_w)
     fail = report.failures()[0]

@@ -405,15 +405,19 @@ def test_qracah_tag_without_q_is_the_classified_one(capsys, tmp_path):
         assert (code, err.split(":")[0]) == ((0, "") if key is None else (2, "ParseError"))
 
 
-def _verify_stdin(doc):
+def _run_stdin(command, doc):
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = main(["verify", "-i", "-"])
+            code = main([command, "-i", "-"])
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
+
+
+def _verify_stdin(doc):
+    return _run_stdin("verify", doc)
 
 
 @pytest.fixture(scope="module")
@@ -517,3 +521,47 @@ def test_negative_beta_as_a_separate_argument(capsys, tmp_path):
     separate = run(capsys, "triple", "-i", path, "--beta", "-1/2")
     assert separate == run(capsys, "triple", "-i", path, "--beta=-1/2")
     assert separate[0] == 2 and separate[2].startswith("NoSquareRootInField")
+
+
+FUZZ_GARBAGE = [None, True, False, 0, -1, 3, 2.5, 10 ** 30, [], {}, [[]], {"x": 1},
+                "", "x", "1/0", "1 mod 7", "0 mod 101", "1+1*sqrt(-1)", "sqrt(", "-"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_docs():
+    docs = []
+    for spec in ("Q", "Fp:101", "Q(i)"):
+        for arr in (generate_family(parse_field(spec), Family.KRAWTCHOUK, 3),
+                    generate_family(parse_field(spec), Family.BANNAI_ITO, 2)):
+            docs += [serialize.emit_array(arr), serialize.emit_system(build_system(arr))]
+    return docs
+
+
+def _slots(node, path=()):
+    """(path of a container, key in it) for every entry of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path, key
+        yield from _slots(value, path + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_never_raise(fuzz_docs, data):
+    # 1-3 key deletions, list-entry deletions or garbage values; every
+    # command answers with an exit code, never a traceback
+    doc = copy.deepcopy(data.draw(st.sampled_from(fuzz_docs)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        path, key = data.draw(st.sampled_from(slots))
+        parent, last = _slot(doc, path + (key,))
+        if data.draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = copy.deepcopy(data.draw(st.sampled_from(FUZZ_GARBAGE)))
+    for command in ("verify", "build", "triple"):
+        code, _, err = _run_stdin(command, doc)
+        assert code in (0, 1, 2), (command, code, err)

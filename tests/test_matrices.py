@@ -15,9 +15,8 @@ from tbtridiag.matrices import (Matrix, _closure_rank, _ExactIntEchelon,
                                 anticommutator, column, commutator, diagonal,
                                 identity, lagrange_idempotents, poly_eval,
                                 primitive_idempotents, rank_one_factors,
-                                rank_one_idempotents, zeros)
-from tbtridiag.system import build_system, dagger
-from tbtridiag.triple import _spectral_sum
+                                rank_one_idempotents, spectral_sum, zeros)
+from tbtridiag.system import build_system, dagger, is_antidiagonal
 
 KRAW_A = Matrix(QQ, [[0, 3, 0, 0], [1, 0, 2, 0], [0, 2, 0, 1], [0, 0, 3, 0]])
 KRAW_THETA = [3, 1, -1, -3]
@@ -533,7 +532,25 @@ def test_spectral_sum_matches_boxed_reference(spec, data):
     weights = [data.draw(_elements(fld)) for _ in range(k)]
     expected = Matrix(fld, [[_boxed_dot([x[i, j] for x in mats], weights)
                              for j in range(m)] for i in range(n)])
-    assert _typed(_spectral_sum(mats, weights)) == _typed(expected)
+    assert _typed(spectral_sum(mats, weights)) == _typed(expected)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_antidiagonal_scan_matches_the_matrix_unit_products(spec, data):
+    # involutions_check decides "S E*_i = E*_{d-i} S" for every i by
+    # is_antidiagonal(S); the oracle is the 2n products it replaced
+    fld = parse_field(spec)
+    n = data.draw(st.integers(1, 5))
+    x = data.draw(_matrices(fld, n, n))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    keep = data.draw(st.sets(cell, max_size=2))
+    x = Matrix(fld, [[x[k, i] if k + i == n - 1 or (k, i) in keep else fld.zero
+                      for i in range(n)] for k in range(n)])
+    units = [diagonal(fld, [int(j == i) for j in range(n)]) for i in range(n)]
+    assert is_antidiagonal(x) == all(x * units[i] == units[n - 1 - i] * x
+                                     for i in range(n))
 
 
 @st.composite

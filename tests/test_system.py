@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tbtridiag
 from tbtridiag import system
@@ -20,6 +22,7 @@ from tbtridiag.system import (build_system, dagger, dagger_report,
                               intersection_numbers, involutions_check,
                               isomorphic, raising_lowering, sd_isomorphism,
                               verify_aw_relations, verify_axioms)
+from tbtridiag.report import CheckResult, ReportBuilder
 from tbtridiag.serialize import decode_system, emit_system
 
 
@@ -274,6 +277,68 @@ def test_involutions_even_diameter():
     report = involutions_check(s)
     assert report.passed, report.failures()
     assert s.S * s.S_star == s.S_star * s.S
+
+
+def test_involutions_check_without_idempotents(k3):
+    # an off-band A that its eigenvalue factors do not annihilate has no E_i
+    doc = emit_system(k3)
+    doc["A"][0][2] = "5"
+    s = decode_system(doc)
+    assert s.E is None and s.S is None
+    assert involutions_check(s).checks == (
+        CheckResult("involutions", False, "idempotents of A unavailable"),)
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:101", "Q(i)", "Fp2:103"])
+def test_sign_involutions_are_the_signed_sums(spec):
+    fld = parse_field(spec)
+    for arr in (generate_family(fld, Family.KRAWTCHOUK, 3, h=1, h_star=2),
+                generate_family(fld, Family.BANNAI_ITO, 4)):
+        built = build_system(arr)
+        n = arr.d + 1
+        # sum (-1)^i E_i on boxed entries
+        boxed = [[fld.zero] * n for _ in range(n)]
+        for i, e in enumerate(built.E):
+            for k in range(n):
+                for l in range(n):
+                    boxed[k][l] = boxed[k][l] + e[k, l] * (-1) ** i
+        for s in (built, decode_system(emit_system(built))):
+            assert s.S == Matrix(fld, boxed)
+            assert s.S_star == diagonal(fld, [(-1) ** k for k in range(n)])
+
+
+INVOLUTION_SUM = "sum (-1)^i (E_i A* + A* E_i) = 0"
+
+
+@pytest.fixture(scope="module")
+def involution_docs():
+    return {spec: [emit_system(build_system(generate_family(parse_field(spec), *args)))
+                   for args in ((Family.KRAWTCHOUK, 3), (Family.BANNAI_ITO, 4))]
+            for spec in ("Q", "Fp:101", "Q(i)")}
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:101", "Q(i)"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_involution_sum_matches_the_signed_loop(involution_docs, spec, data):
+    # involutions_check decides the sum as S A* + A* S; the oracle is the
+    # per-index loop it replaced, on systems whose A* has tampered entries
+    fld = parse_field(spec)
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(involution_docs[spec]))))
+    n = len(doc["A_star"])
+    index = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        value = fld(data.draw(st.integers(-9, 9)))
+        doc["A_star"][data.draw(index)][data.draw(index)] = fld.encode(value)
+    s = decode_system(doc)
+    acc = zeros(fld, n)
+    for i in range(n):
+        term = s.E[i] * s.A_star + s.A_star * s.E[i]
+        acc = acc - term if i % 2 else acc + term
+    rb = ReportBuilder()
+    rb.matrix_zero(INVOLUTION_SUM, acc)
+    check = next(c for c in involutions_check(s) if c.name == INVOLUTION_SUM)
+    assert check == rb.build().checks[0]
 
 
 def test_sandwich_boundary_identity(k3, qr3):

@@ -6,14 +6,13 @@ import pytest
 from tbtridiag.arrays import Family, generate_family, validate_array
 from tbtridiag.errors import BetaInvalid, NoSquareRootInField, NotSelfDual, Singular
 from tbtridiag.fields import QQ, PrimeField, QQi, parse_field
-from tbtridiag.matrices import Matrix, diagonal, identity
+from tbtridiag.matrices import Matrix, diagonal, identity, spectral_sum
 from tbtridiag.system import build_system, dagger
 from tbtridiag import triple
 from tbtridiag.triple import (WData, antiautomorphism_report,
                               antiautomorphisms, braid_check, build_C,
                               build_W, expected_kappa, rho_automorphism,
-                              sigma_and_psl2z, triple_scalars, _spectral_sum,
-                              _weights)
+                              sigma_and_psl2z, triple_scalars, _weights)
 
 
 def _triple(fld, family, d, q=None, beta=None, h=1):
@@ -151,9 +150,9 @@ def test_braid_relations(golden1, golden_bi4):
 def test_braid_fails_on_perturbed_weight(golden1):
     system, tri, w = golden1
     bad_t = (w.t[0], w.t[1] + 1)
-    W = _spectral_sum(tri.E, bad_t)
-    W_prime = _spectral_sum(tri.E_prime, bad_t)
-    W_dprime = _spectral_sum(tri.E_dprime, bad_t)
+    W = spectral_sum(tri.E, bad_t)
+    W_prime = spectral_sum(tri.E_prime, bad_t)
+    W_dprime = spectral_sum(tri.E_dprime, bad_t)
     bad = WData(W, W_prime, W_dprime, W_prime * W, bad_t, w.kappa)
     report = braid_check(bad)
     assert not report.passed

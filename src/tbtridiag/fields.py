@@ -17,6 +17,9 @@ Each field also owns the raw kernels for matrix work over it, on lists of
 raw values so that no entry is boxed in an inner loop: ``_matmul(rows,
 cols)``, the product of the left operand's rows with the right operand's
 columns, and ``_sub_scaled(vec, x, row)``, the elimination step vec - x*row.
+A quadratic extension multiplies on its base's integer view: values as ints
+over one denominator (``_integer_view(vecs)``, ``_integer_pair(a, b)``), and
+back (``_from_integers(num, den)``).
 """
 
 import re
@@ -275,10 +278,21 @@ class RationalField(Field):
     def _matmul(self, rows, cols):
         # Integer dot products over each operand's common denominator, then
         # one Fraction per entry.
-        a, da = _over_common_denominator(rows)
-        b, db = _over_common_denominator(cols)
+        a, da = self._integer_view(rows)
+        b, db = self._integer_view(cols)
         den = da * db
         return [[Fraction(sum(map(mul, r, c)), den) for c in b] for r in a]
+
+    def _integer_view(self, vecs):
+        """Fraction vectors as int vectors over one common denominator."""
+        den = lcm(*{f.denominator for v in vecs for f in v})
+        return [[f.numerator * (den // f.denominator) for f in v] for v in vecs], den
+
+    def _integer_pair(self, a, b):
+        return (a.numerator * b.denominator, b.numerator * a.denominator,
+                a.denominator * b.denominator)
+
+    _from_integers = Fraction        # Fraction(num, den), reduced
 
     def _encode_raw(self, v):
         return str(v)
@@ -353,6 +367,17 @@ class PrimeField(Field):
         # Residues are nonnegative ints: reduce each dot product once.
         p = self.p
         return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
+
+    def _integer_view(self, vecs):
+        # residues are already ints, over the denominator 1
+        return vecs, 1
+
+    def _integer_pair(self, a, b):
+        return a, b, 1
+
+    def _from_integers(self, num, den):
+        # every denominator of this view is 1
+        return num % self.p
 
     def _sub_scaled(self, vec, x, row):
         p = self.p
@@ -431,6 +456,7 @@ class QuadraticExtension(Field):
         self._zero_raw = (base._zero_raw, base._zero_raw)
         self._one_raw = (base._one_raw, base._zero_raw)
         self._draw = self.d.value
+        self._dn, _, self._dd = base._integer_pair(self._draw, base._zero_raw)
 
     def gen(self):
         """The adjoined square root of d."""
@@ -461,10 +487,13 @@ class QuadraticExtension(Field):
         return (bs(u[0], v[0]), bs(u[1], v[1]))
 
     def _mul(self, u, v):
-        bm, ba = self.base._mul, self.base._add
-        a, b = u
-        c, e = v
-        return (ba(bm(a, c), bm(bm(b, e), self._draw)), ba(bm(a, e), bm(b, c)))
+        # the 1 x 1 case of _matmul
+        base, dn, dd = self.base, self._dn, self._dd
+        x, y, du = base._integer_pair(*u)
+        z, t, dv = base._integer_pair(*v)
+        den = du * dv
+        return (base._from_integers(dd * x * z + dn * y * t, den * dd),
+                base._from_integers(x * t + y * z, den))
 
     def _neg(self, u):
         bn = self.base._neg
@@ -485,16 +514,19 @@ class QuadraticExtension(Field):
         return (bm(a, ninv), self.base._neg(bm(b, ninv)))
 
     def _matmul(self, rows, cols):
-        # (X + Y s)(Z + T s) = (XZ + D YT) + (XT + YZ) s; each part is one
-        # base product of the side-by-side blocks [X  DY][Z; T] and [X  Y][T; Z].
-        bm, dr = self.base._mul, self._draw
-        real_rows = [[x for x, _ in r] + [bm(dr, y) for _, y in r] for r in rows]
-        imag_rows = [[x for x, _ in r] + [y for _, y in r] for r in rows]
-        real_cols = [[z for z, _ in c] + [t for _, t in c] for c in cols]
-        imag_cols = [[t for _, t in c] + [z for z, _ in c] for c in cols]
-        real = self.base._matmul(real_rows, real_cols)
-        imag = self.base._matmul(imag_rows, imag_cols)
-        return [list(zip(r, i)) for r, i in zip(real, imag)]
+        # (X + Y s)(Z + T s) = (XZ + D YT) + (XT + YZ) s with D = Dn/Dd.  On the
+        # base's integer view (X, Y over the rows' denominator, Z, T over the
+        # columns') each coordinate is one integer dot product of side-by-side
+        # blocks: [X  Y][Dd Z; Dn T] over den Dd, and [X  Y][T; Z] over den.
+        base, dn, dd = self.base, self._dn, self._dd
+        xy, dr = base._integer_view([[x for x, _ in r] + [y for _, y in r] for r in rows])
+        zt, dc = base._integer_view([[z for z, _ in c] + [t for _, t in c] for c in cols])
+        k = len(zt[0]) // 2 if zt else 0
+        real_cols = [[dd * z for z in c[:k]] + [dn * t for t in c[k:]] for c in zt]
+        imag_cols = [c[k:] + c[:k] for c in zt]
+        den, val = dr * dc, base._from_integers
+        return [[(val(sum(map(mul, r, rc)), den * dd), val(sum(map(mul, r, ic)), den))
+                 for rc, ic in zip(real_cols, imag_cols)] for r in xy]
 
     def _encode_raw(self, v):
         enc = self.base._encode_raw
@@ -575,12 +607,6 @@ class QuadraticExtension(Field):
 
     def __hash__(self):
         return hash(("ext", self.base, self.d.value))
-
-
-def _over_common_denominator(vecs):
-    """Fraction vectors as int vectors over one common denominator."""
-    den = lcm(*{f.denominator for v in vecs for f in v})
-    return [[f.numerator * (den // f.denominator) for f in v] for v in vecs], den
 
 
 def least_nonresidue(p):

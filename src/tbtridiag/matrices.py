@@ -87,7 +87,7 @@ class Matrix:
         return FieldElement(self.field, self.raw[i][j])
 
     def _check_same_field(self, other):
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch("matrices over different fields")
 
     def _entrywise(self, other, op, name):
@@ -130,7 +130,8 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.raw == other.raw
+        return ((self.field is other.field or self.field == other.field)
+                and self.raw == other.raw)
 
     def __hash__(self):
         return hash((self.field, self.raw))

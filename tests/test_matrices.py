@@ -16,7 +16,8 @@ from tbtridiag.matrices import (Matrix, _closure_rank, _ExactIntEchelon,
                                 identity, lagrange_idempotents, poly_eval,
                                 primitive_idempotents, rank_one_factors,
                                 rank_one_idempotents, spectral_sum, zeros)
-from tbtridiag.system import build_system, dagger, is_antidiagonal
+from tbtridiag.system import (build_system, dagger, is_antidiagonal,
+                              is_sign_twisted, reverses_products)
 
 KRAW_A = Matrix(QQ, [[0, 3, 0, 0], [1, 0, 2, 0], [0, 2, 0, 1], [0, 0, 3, 0]])
 KRAW_THETA = [3, 1, -1, -3]
@@ -551,6 +552,87 @@ def test_antidiagonal_scan_matches_the_matrix_unit_products(spec, data):
     units = [diagonal(fld, [int(j == i) for j in range(n)]) for i in range(n)]
     assert is_antidiagonal(x) == all(x * units[i] == units[n - 1 - i] * x
                                      for i in range(n))
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sign_twist_scan_matches_the_products(spec, data):
+    # involutions_check decides "S* E_i = E_{d-i} S*" by is_sign_twisted;
+    # the oracle is the two products it replaced, with S* = diag((-1)^k)
+    fld = parse_field(spec)
+    n = data.draw(st.integers(1, 5))
+    x = data.draw(_matrices(fld, n, n))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    tampered = data.draw(st.sets(cell, max_size=2))
+    y = Matrix(fld, [[data.draw(_elements(fld)) if (k, l) in tampered
+                      else x[k, l] * (-1) ** (k + l) for l in range(n)]
+                     for k in range(n)])
+    signs = diagonal(fld, [(-1) ** k for k in range(n)])
+    assert is_sign_twisted(x, y) == (signs * x == y * signs)
+    assert is_sign_twisted(y, x) == is_sign_twisted(x, y)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_product_reversal_matches_the_triple_loop(spec, data):
+    # dagger_report decides r[i][j] r[j][l] = r[i][l] on the rows and
+    # columns through 0; the oracle is the n^3 loop it replaced, on ratio
+    # tables k_j / k_i (which pass) and on tables with tampered entries
+    fld = parse_field(spec)
+    n = data.draw(st.integers(1, 5))
+    k = [data.draw(_elements(fld).filter(lambda e: not e.is_zero()))
+         for _ in range(n)]
+    r = [[(kj / ki).value for kj in k] for ki in k]
+    if data.draw(st.booleans()):
+        # a zero row 0 passes every instance with i = 0, so only the
+        # instances with j = 0 can decide
+        r[0] = [fld._zero_raw] * n
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in data.draw(st.sets(cell, max_size=2)):
+        r[i][j] = data.draw(_elements(fld)).value
+    mul = fld._mul
+    loop = all(mul(r[i][j], r[j][l]) == r[i][l]
+               for i in range(n) for j in range(n) for l in range(n))
+    assert reverses_products(fld, r) == loop
+
+
+EXTENSION_FIELDS = ["Q(i)", "Q(sqrt:2)", "Q(sqrt:-3/5)", "Q(sqrt:7/2)",
+                    "Fp2:3", "Fp2:101", f"Fp2:{M61}"]
+
+
+def _coordinate_product(fld, u, v):
+    """(a + b s)(c + e s) = (ac + D be) + (ae + bc) s on base-field
+    FieldElements, as a raw pair."""
+    (a, b), (c, e) = (map(fld.base, w.value) for w in (u, v))
+    return ((a * c + fld.d * b * e).value, (a * e + b * c).value)
+
+
+@pytest.mark.parametrize("spec", EXTENSION_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_extension_kernels_match_the_coordinate_formula(spec, data):
+    # an oracle independent of the extension's own _mul: every coordinate is
+    # formed by base-field arithmetic alone
+    fld = parse_field(spec)
+    u, v = data.draw(_elements(fld)), data.draw(_elements(fld))
+    got = Matrix.from_raw(fld, [[fld._mul(u.value, v.value)]])
+    assert _typed(got) == _typed(Matrix.from_raw(fld, [[_coordinate_product(fld, u, v)]]))
+    n, m, k = (data.draw(st.integers(1, 4)) for _ in range(3))
+    x, y = data.draw(_matrices(fld, n, m)), data.draw(_matrices(fld, m, k))
+    base_zero = fld.base.zero
+    expected = []
+    for i in range(n):
+        row = []
+        for j in range(k):
+            re, im = base_zero, base_zero
+            for l in range(m):
+                a, b = _coordinate_product(fld, x[i, l], y[l, j])
+                re, im = re + fld.base(a), im + fld.base(b)
+            row.append((re.value, im.value))
+        expected.append(row)
+    assert _typed(x * y) == _typed(Matrix.from_raw(fld, expected))
 
 
 @st.composite

@@ -31,6 +31,7 @@ from .errors import DivisionByZero, FieldMismatch, ParseError
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _RESIDUE = re.compile(r"(-?[0-9]+)(?: mod ([0-9]+))?")
+_MODULUS = re.compile(r"[0-9]+")
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all thirteen bases above
@@ -639,15 +640,15 @@ def parse_field(spec):
             return QuadraticExtension(QQ, QQ.parse(spec[7:-1]))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    if spec.startswith("Fp:"):
+    if spec.startswith(("Fp:", "Fp2:")):
+        kind, modulus = spec.split(":", 1)
+        # int() alone would also take "1_000_003", "+7", " 7" and non-ASCII digits
+        if not _MODULUS.fullmatch(modulus):
+            raise ParseError(f"field modulus {modulus!r} is not decimal digits")
         try:
-            return PrimeField(int(spec[3:]))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    if spec.startswith("Fp2:"):
-        try:
-            p = int(spec[4:])
-            return QuadraticExtension(PrimeField(p), least_nonresidue(p))
+            p = int(modulus)
+            base = PrimeField(p)
+            return base if kind == "Fp" else QuadraticExtension(base, least_nonresidue(p))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     raise ParseError(f"unknown field descriptor {spec!r}")

@@ -120,12 +120,9 @@ class Matrix:
         s, mul = field(other).value, field._mul
         return Matrix.from_raw(field, [[mul(a, s) for a in r] for r in self.raw])
 
-    def __rmul__(self, other):
-        if isinstance(other, Matrix):
-            return NotImplemented
-        field = self.field
-        s, mul = field(other).value, field._mul
-        return Matrix.from_raw(field, [[mul(s, a) for a in r] for r in self.raw])
+    # a Matrix on the left is handled by its own __mul__, so only a scalar
+    # lands here, and raw _mul is commutative
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

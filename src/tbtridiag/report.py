@@ -49,27 +49,28 @@ class ReportBuilder:
         self._checks = []
 
     def record(self, name, passed, witness=None):
-        self._checks.append(CheckResult(name, bool(passed), witness))
+        """Append the check and return its verdict, as do the two below."""
+        passed = bool(passed)
+        self._checks.append(CheckResult(name, passed, witness))
+        return passed
 
     def matrices_equal(self, name, lhs, rhs):
         if lhs == rhs:
-            self.record(name, True)
-            return
+            return self.record(name, True)
         for i, (r1, r2) in enumerate(zip(lhs.raw, rhs.raw)):
             for j, (a, b) in enumerate(zip(r1, r2)):
                 if a != b:
-                    self.record(name, False, f"entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}")
-                    return
-        self.record(name, False, "shape mismatch")
+                    return self.record(name, False,
+                                       f"entry ({i},{j}): {lhs[i, j]} != {rhs[i, j]}")
+        return self.record(name, False, "shape mismatch")
 
     def matrix_zero(self, name, m):
         zero = m.field._zero_raw
         for i, row in enumerate(m.raw):
             for j, v in enumerate(row):
                 if v != zero:
-                    self.record(name, False, f"entry ({i},{j}) = {m[i, j]} != 0")
-                    return
-        self.record(name, True)
+                    return self.record(name, False, f"entry ({i},{j}) = {m[i, j]} != 0")
+        return self.record(name, True)
 
     def build(self):
         return VerificationReport(tuple(self._checks))

@@ -72,11 +72,11 @@ def decode_array(doc):
         d = doc["d"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed array document: {exc}") from None
-    if d != len(theta) - 1:
-        raise ParseError(f"d = {d} but theta has {len(theta)} entries")
     if type(d) is not int:
         # 3.0 == 3 and true == 1 in Python, not in JSON
         raise ParseError(f"d = {json.dumps(d)} is not a JSON integer")
+    if d != len(theta) - 1:
+        raise ParseError(f"d = {d} but theta has {len(theta)} entries")
     arr = validate_array(fld, theta, theta_star)
     tag_doc = doc.get("family")
     if tag_doc is not None:

@@ -432,10 +432,14 @@ def sigma_and_psl2z(sys, tri, w, inv=None):
     """The order-2 automorphism sigma and the modular-group action.
 
     sigma conjugates by T = W W' W and swaps A, B while sending C to its
-    dagger image.  rho^3 and sigma^2 are checked on every matrix unit as "P^3
-    and T^2 are central", and the words in the two generators agree with
-    their r^3 = s^2 = 1 normal forms exactly when both are.  inv is
-    spectral_inverses(tri, w) when the caller has formed it already.
+    dagger image.  Each family is the Lagrange polynomials p_i of A, B or C
+    (build_C and decode_triple form them so), and the automorphism rho has
+    rho(p_i(X)) = p_i(rho(X)), while X = sum theta_i p_i(X); so rho cycles
+    the families exactly when it cycles A -> B -> C -> A.  rho^3 and
+    sigma^2 are checked on every matrix unit as "P^3 and T^2 are central",
+    and the words in the two generators agree with their r^3 = s^2 = 1
+    normal forms exactly when both are.  inv is spectral_inverses(tri, w)
+    when the caller has formed it already.
     """
     rb = ReportBuilder()
     if inv is None:
@@ -450,14 +454,11 @@ def sigma_and_psl2z(sys, tri, w, inv=None):
 
     P, Pinv = w.P, inv.P_inv
     rho = lambda x: Pinv * x * P
-    rb.matrices_equal("rho(A) = B", rho(A), B)
-    rb.matrices_equal("rho(B) = C", rho(B), C)
-    rb.matrices_equal("rho(C) = A", rho(C), A)
+    cycles = [rb.matrices_equal("rho(A) = B", rho(A), B),
+              rb.matrices_equal("rho(B) = C", rho(B), C),
+              rb.matrices_equal("rho(C) = A", rho(C), A)]
     rb.matrices_equal("rho(P) = P", rho(P), P)
-    ok = all(rho(tri.E[i]) == tri.E_prime[i]
-             and rho(tri.E_prime[i]) == tri.E_dprime[i]
-             and rho(tri.E_dprime[i]) == tri.E[i] for i in range(tri.d + 1))
-    rb.record("rho cycles the idempotent families", ok)
+    rb.record("rho cycles the idempotent families", all(cycles))
     rb.matrices_equal("rho(W) = W'", rho(w.W), w.W_prime)
     rb.matrices_equal("rho(W') = W''", rho(w.W_prime), w.W_dprime)
     rb.matrices_equal("rho(W'') = W", rho(w.W_dprime), w.W)

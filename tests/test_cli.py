@@ -187,6 +187,8 @@ def test_json_number_scalars_rejected(capsys, tmp_path):
 @pytest.mark.parametrize("d, theta, shown", [
     (3.0, ["3", "1", "-1", "-3"], "3.0"),
     (True, ["1", "-1"], "true"),
+    # once "d = 3 but theta has 4 entries"
+    ("3", ["3", "1", "-1", "-3"], '"3"'),
 ])
 def test_d_must_be_a_json_integer(capsys, tmp_path, d, theta, shown):
     # 3.0 == 3 and True == 1 in Python, so both once verified with exit 0

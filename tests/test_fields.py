@@ -208,6 +208,17 @@ def test_field_descriptors():
         parse_field("R")
     with pytest.raises(ParseError):
         parse_field("Fp:6")
+    assert parse_field("Fp:007") == PrimeField(7)
+    assert parse_field(" Fp2:7 ") == parse_field("Fp2:7")
+
+
+@pytest.mark.parametrize("kind", ["Fp", "Fp2"])
+@pytest.mark.parametrize("modulus", ["1_000_003", "+7", " 7", "٧", "0x7",
+                                     "7.0", "-7", ""])
+def test_field_modulus_is_ascii_decimal_digits(kind, modulus):
+    # int() reads the first four as 1000003 or 7
+    with pytest.raises(ParseError, match="is not decimal digits"):
+        parse_field(f"{kind}:{modulus}")
 
 
 def test_characteristic():

@@ -341,6 +341,137 @@ def test_involution_sum_matches_the_signed_loop(involution_docs, spec, data):
     assert check == rb.build().checks[0]
 
 
+EIGEN_FACTORS = "diagonalizable: product of eigenvalue factors vanishes"
+DAGGER_FIXES = "dagger fixes every idempotent"
+SIGN_TWIST = "S* E_i = E_{d-i} S*"
+ORACLE_FIELDS = ["Q", "Fp:101", "Q(i)", "Fp2:103"]
+
+
+def _idempotent_loops(s):
+    """The eigenvalue-factor check and the fixed-point and sign-twist verdicts
+    (None without the E_i) from the dense idempotent loops that verify_axioms,
+    dagger_report and involutions_check ran before they decided them on A."""
+    fld, n = s.field, s.d + 1
+    eye = identity(fld, n)
+    prod = eye
+    for t in s.array.theta:
+        prod = prod * (s.A - eye * t)
+    rb = ReportBuilder()
+    rb.matrix_zero(EIGEN_FACTORS, prod)
+    dag = system.dagger_map(s)
+    fixes = all(dag(e) == e for e in s.E_star + (s.E or ()))
+    twist = None if s.E is None else all(s.S_star * s.E[i] == s.E[s.d - i] * s.S_star
+                                         for i in range(n))
+    return rb.build().checks[0], fixes, twist
+
+
+def _idempotent_verdicts(s):
+    """The same three from the reports."""
+    checks = {c.name: c for report in (verify_axioms(s), dagger_report(s),
+                                       involutions_check(s)) for c in report}
+    twist = checks[SIGN_TWIST].passed if SIGN_TWIST in checks else None
+    return checks[EIGEN_FACTORS], checks[DAGGER_FIXES].passed, twist
+
+
+def _with_A(s, a):
+    doc = emit_system(s)
+    doc["A"] = [[s.field.encode(v) for v in row] for row in a.rows]
+    return decode_system(doc)
+
+
+def _unit(fld, n, i, j):
+    return Matrix(fld, [[int((k, l) == (i, j)) for l in range(n)] for k in range(n)])
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIELDS)
+def test_idempotent_verdicts_match_the_loops(spec):
+    # each verdict takes both values on these documents, the E_i set or not
+    fld = parse_field(spec)
+    s = build_system(generate_family(fld, Family.KRAWTCHOUK, 3))
+    n, A, theta = 4, s.A, s.array.theta
+    eye = identity(fld, n)
+    scale = diagonal(fld, [1, 2, 3, 5])
+    even, odd = _unit(fld, n, 0, 2), _unit(fld, n, 0, 3)
+    cases = [
+        (s, (True, True, True)),
+        # D A D^-1 stays tridiagonal and anticommutes with S*, but K no
+        # longer symmetrizes it
+        (_with_A(s, scale * A * scale.inverse()), (True, False, True)),
+        # off the band, so the E_i come by Lagrange; S* commutes with I + e_02
+        # but not with I + e_03
+        (_with_A(s, (eye + even) * A * (eye - even)), (True, False, True)),
+        (_with_A(s, (eye + odd) * A * (eye - odd)), (True, False, False)),
+        (_with_A(s, diagonal(fld, reversed(theta))), (True, True, False)),
+        # a repeated theta: still annihilated, E_1 = 0 and E_0 has rank 2
+        (_with_A(s, diagonal(fld, [theta[0], theta[0], theta[2], theta[3]])),
+         (True, True, False)),
+        # not annihilated: no E_i, so the E*_i alone are fixed
+        (_with_A(s, A + _unit(fld, n, 0, 2) * 5), (False, True, None)),
+        (_with_A(s, diagonal(fld, [theta[0] + 1] + list(theta[1:]))), (False, True, None)),
+    ]
+    for t, expected in cases:
+        verdicts = _idempotent_verdicts(t)
+        assert verdicts == _idempotent_loops(t)
+        assert (verdicts[0].passed,) + verdicts[1:] == expected
+        assert (verdicts[0].witness is None) == verdicts[0].passed
+
+
+@pytest.fixture(scope="module")
+def oracle_systems():
+    return {spec: [build_system(generate_family(parse_field(spec), *args))
+                   for args in ((Family.KRAWTCHOUK, 3), (Family.BANNAI_ITO, 4))]
+            for spec in ORACLE_FIELDS}
+
+
+def _oracle_elements(fld):
+    ints = st.integers(-5, 5).map(fld)
+    if hasattr(fld, "gen"):
+        return st.tuples(ints, ints).map(lambda ab: ab[0] + fld.gen() * ab[1])
+    return ints
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIELDS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_idempotent_verdicts_match_the_loops_on_drawn_documents(oracle_systems, spec, data):
+    # A conjugated by a diagonal or a dense invertible matrix, replaced by a
+    # diagonal matrix of drawn thetas, some repeated, or with one entry drawn
+    fld = parse_field(spec)
+    s = data.draw(st.sampled_from(oracle_systems[spec]))
+    n = s.d + 1
+    elements = _oracle_elements(fld)
+    kind = data.draw(st.sampled_from(["diagonal", "dense", "thetas", "entry"]))
+    if kind == "thetas":
+        picks = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        a = diagonal(fld, [s.array.theta[k] for k in picks])
+    elif kind == "entry":
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        a = s.A + _unit(fld, n, i, j) * data.draw(elements)
+    else:
+        if kind == "diagonal":
+            m = diagonal(fld, [data.draw(elements.filter(lambda v: not v.is_zero()))
+                               for _ in range(n)])
+        else:
+            # unit lower times unit upper triangular: invertible
+            lower = Matrix(fld, [[data.draw(elements) if l < k else int(k == l)
+                                  for l in range(n)] for k in range(n)])
+            m = lower * lower.transpose()
+        a = m * s.A * m.inverse()
+    t = _with_A(s, a)
+    assert _idempotent_verdicts(t) == _idempotent_loops(t)
+
+
+def test_report_builder_returns_each_verdict():
+    rb = ReportBuilder()
+    x = Matrix(QQ, [[1, 2], [3, 4]])
+    assert rb.matrices_equal("x = x", x, x) is True
+    assert rb.matrices_equal("x = 2x", x, x * 2) is False
+    assert rb.matrix_zero("0 = 0", zeros(QQ, 2)) is True
+    assert rb.matrix_zero("x = 0", x) is False
+    assert rb.record("recorded", 1) is True
+    assert [c.passed for c in rb.build()] == [True, False, True, False, True]
+
+
 def test_sandwich_boundary_identity(k3, qr3):
     # E*_i A^r A* A^s E*_j vanishes beyond the band |i-j| > r+s and touches
     # the band with weight theta*_{j+s} (or theta*_{i+r} on the other side)

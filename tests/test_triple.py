@@ -2,17 +2,21 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbtridiag.arrays import Family, generate_family, validate_array
 from tbtridiag.errors import BetaInvalid, NoSquareRootInField, NotSelfDual, Singular
 from tbtridiag.fields import QQ, PrimeField, QQi, parse_field
-from tbtridiag.matrices import Matrix, diagonal, identity, spectral_sum
+from tbtridiag.matrices import (Matrix, diagonal, identity,
+                                primitive_idempotents, spectral_sum)
 from tbtridiag.system import build_system, dagger
 from tbtridiag import triple
-from tbtridiag.triple import (WData, antiautomorphism_report,
+from tbtridiag.triple import (LeonardTriple, WData, antiautomorphism_report,
                               antiautomorphisms, braid_check, build_C,
                               build_W, expected_kappa, rho_automorphism,
-                              sigma_and_psl2z, triple_scalars, _weights)
+                              sigma_and_psl2z, spectral_elements,
+                              triple_scalars, _weights)
 
 
 def _triple(fld, family, d, q=None, beta=None, h=1):
@@ -463,3 +467,47 @@ def test_singular_wdata_raises_as_dense_inversion(golden_bi4):
         for report in (antiautomorphism_report, sigma_and_psl2z):
             with pytest.raises(Singular, match="matrix is not invertible"):
                 report(system, tri, bad)
+
+
+RHO_CYCLES = "rho cycles the idempotent families"
+
+
+@pytest.fixture(scope="module")
+def golden_triples():
+    return {case: _golden(*case) for case in GOLDEN_TRIPLES}
+
+
+def _rho_cycles_loop(tri, w):
+    """The verdict from the 6(d+1) products sigma_and_psl2z made before it
+    decided it on A, B and C."""
+    inv = triple.spectral_inverses(tri, w)
+    rho = lambda x: inv.P_inv * x * w.P
+    return all(rho(tri.E[i]) == tri.E_prime[i]
+               and rho(tri.E_prime[i]) == tri.E_dprime[i]
+               and rho(tri.E_dprime[i]) == tri.E[i] for i in range(tri.d + 1))
+
+
+@pytest.mark.parametrize("case", GOLDEN_TRIPLES)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_rho_cycles_verdict_matches_the_loop(golden_triples, case, data):
+    # a library triple whose C, and with it E'' and W'', is conjugated by a
+    # diagonal or a dense invertible matrix (the identity among them)
+    system, tri, _ = golden_triples[case]
+    fld, n = tri.field, tri.d + 1
+    entries = st.integers(-4, 4).map(fld)
+    if data.draw(st.booleans()):
+        m = diagonal(fld, [data.draw(entries.filter(lambda v: not v.is_zero()))
+                           for _ in range(n)])
+    else:
+        lower = Matrix(fld, [[data.draw(entries) if l < k else int(k == l)
+                              for l in range(n)] for k in range(n)])
+        m = lower * lower.transpose()
+    C = m * tri.C * m.inverse()
+    conj = LeonardTriple(tri.A, tri.B, C, tri.E, tri.E_prime,
+                         primitive_idempotents(C, system.array.theta), tri.scalars)
+    w = spectral_elements(conj)
+    report = sigma_and_psl2z(system, conj, w)
+    check = next(c for c in report if c.name == RHO_CYCLES)
+    assert check.passed == _rho_cycles_loop(conj, w) == (C == tri.C)
+    assert check.witness is None

@@ -50,14 +50,14 @@ def _write_out(text, path):
 
 
 def _read_doc(path):
-    if path == "-":
-        text = _sys.stdin.read()
-    else:
-        try:
-            with open(path) as fh:
+    try:
+        if path == "-":
+            text = _sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
     return serialize.loads(text)
 
 

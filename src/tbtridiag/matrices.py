@@ -11,7 +11,10 @@ operations are exact; equality is entrywise structural equality.  Entries
 are ``FieldElement``s only at the API: ``m[i, j]`` and the ``rows`` view box
 them, and ``Matrix(field, rows)`` coerces its input and unboxes it.
 The module also provides the spectral toolkit used throughout: polynomial
-evaluation at a matrix, primitive idempotents, the dimension of the unital
+evaluation at a matrix, ``poly_chain``, the one way the package forms the
+products (x - r_0 I) ... (x - r_{i-1} I) (both halves of each Lagrange
+idempotent, the eigenvalue-factor witness of verify_axioms and the sums of
+sd_isomorphism), primitive idempotents, the dimension of the unital
 algebra generated by a set of matrices, and ``spectral_sum``, the one way
 the package forms a sum t_0 X_0 + ... + t_d X_d (S and the resolutions of
 I and A in system.py, W, W', W'' and their inverses in triple.py): a single
@@ -227,6 +230,15 @@ def poly_eval(coeffs, x):
     return acc
 
 
+def poly_chain(x, roots):
+    """chain[i] = (x - roots[0] I) ... (x - roots[i-1] I), for 0 <= i <= len(roots)."""
+    eye = identity(x.field, x.nrows)
+    chain = [eye]
+    for t in roots:
+        chain.append(chain[-1] * (x - eye * t))
+    return chain
+
+
 def lagrange_idempotents(x, eigenvalues):
     """Primitive idempotents of x for the listed eigenvalues.
 
@@ -240,25 +252,20 @@ def lagrange_idempotents(x, eigenvalues):
     thetas = [field(t) for t in eigenvalues]
     if len(set(thetas)) != len(thetas):
         raise DuplicateEigenvalue("eigenvalues must be pairwise distinct")
-    n = x.nrows
-    eye = identity(field, n)
-    factors = [x - eye * t for t in thetas]
-    k = len(factors)
-    prefix = [eye]
-    for f in factors:
-        prefix.append(prefix[-1] * f)
+    prefix = poly_chain(x, thetas)
     if not prefix[-1].is_zero():
         raise NotAnnihilated("matrix is not annihilated by the eigenvalue factors")
-    suffix = [eye] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = factors[i] * suffix[i + 1]
+    # the factors commute, so the product of those after i is a prefix of
+    # the chain over the reversed roots
+    suffix = poly_chain(x, thetas[::-1])
+    k = len(thetas)
     out = []
     for i, ti in enumerate(thetas):
         denom = field.one
         for j, tj in enumerate(thetas):
             if j != i:
                 denom = denom * (ti - tj)
-        out.append(prefix[i] * suffix[i + 1] * denom.inverse())
+        out.append(prefix[i] * suffix[k - 1 - i] * denom.inverse())
     return out
 
 

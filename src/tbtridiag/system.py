@@ -10,12 +10,12 @@ a report with witnesses, so deliberately mutated inputs can be diagnosed.
 
 from dataclasses import dataclass
 
-from .arrays import is_self_dual, relatives
+from .arrays import is_self_dual
 from .errors import (DimensionMismatch, FieldMismatch, NotAnnihilated,
                      NotSelfDual, ZeroDenominator, require)
 from .matrices import (Matrix, algebra_dimension, diagonal, identity,
-                       primitive_idempotents, rank_one_factors, spectral_sum,
-                       zeros)
+                       poly_chain, primitive_idempotents, rank_one_factors,
+                       spectral_sum, zeros)
 from .report import ReportBuilder
 
 
@@ -110,7 +110,7 @@ def system(arr, inters, A, A_star, K):
     formed here and nowhere else.
 
     The E*_i are the matrix units, E = primitive_idempotents(A, theta) (None
-    when some theta_i is not an eigenvalue of A), S = sum (-1)^i E_i by
+    exactly when prod (A - theta_i I) != 0), S = sum (-1)^i E_i by
     spectral_sum (None with E) and S* = diag((-1)^k), the same sum of the
     E*_i.  This is the only place S is formed, which involutions_check relies
     on, and each E_i is then the Lagrange polynomial p_i(A), which the
@@ -193,19 +193,25 @@ def verify_axioms(sys):
     path that is the product it tests; an irreducible tridiagonal A is
     nonderogatory, so its theta_i are all eigenvalues exactly when the
     product vanishes).  Only an unset E forms the product, for its witness.
-    (e) is decided on A alone.  A^0 = I always fits.  An A that fits
-    at r = 1 is tridiagonal with nonzero off-diagonal entries, so A^r has
-    bandwidth r and (A^r)[i, i+r], (A^r)[i+r, i] are products of r of those
-    entries, nonzero: every r fits.  So (e) has the verdict and witness of
-    the r = 1 scan, which is also the test for rank-one idempotents.
+    (d) with rank-one E_i is decided in the basis of the u_i: there A is
+    diag(theta), with distinct entries, and A* has the zero pattern of the
+    sandwich scalars w_i^t A* u_j, so algebra_dimension counts reachable
+    pairs whatever A* is.  A Lagrange family may hold a zero E_i, so it and
+    an unset E keep the generators A, A*.  (e) is decided on A alone.
+    A^0 = I always fits.  An A that fits at r = 1 is tridiagonal with
+    nonzero off-diagonal entries, so A^r has bandwidth r and (A^r)[i, i+r],
+    (A^r)[i+r, i] are products of r of those entries, nonzero: every r fits.
+    So (e) has the verdict and witness of the r = 1 scan, which is also the
+    test for rank-one idempotents.
     """
     rb = ReportBuilder()
     fld = sys.field
     n = sys.d + 1
     A, A_star, E = sys.A, sys.A_star, sys.E
+    generators = [A, A_star]
     name = "diagonalizable: product of eigenvalue factors vanishes"
     if E is None:
-        rb.matrix_zero(name, _poly_chain(A, sys.array.theta, identity(fld, n))[-1])
+        rb.matrix_zero(name, poly_chain(A, sys.array.theta)[-1])
     else:
         rb.record(name, True)
 
@@ -231,6 +237,7 @@ def verify_axioms(sys):
             left, right = rank_one_factors(E)
             scalars = left * (A_star * right)
             vanishes = lambda i, j: scalars.raw[i][j] == zero_raw
+            generators = [diagonal(fld, sys.array.theta), scalars]
         else:
             vanishes = lambda i, j: (E[i] * A_star * E[j]).is_zero()
         witness = next((f"E_{i} A* E_{j} = 0" if abs(i - j) == 1 else f"E_{i} A* E_{j} != 0"
@@ -242,7 +249,7 @@ def verify_axioms(sys):
                     if A[i, i - 1].is_zero() or A[i - 1, i].is_zero()), None)
     rb.record("irreducible: c_i b_{i-1} != 0", witness is None, witness)
 
-    dim = algebra_dimension([A, A_star], n)
+    dim = algebra_dimension(generators, n)
     rb.record("A, A* generate the full matrix algebra", dim == n * n,
               None if dim == n * n else f"algebra dimension {dim} != {n * n}")
 
@@ -376,6 +383,11 @@ def involutions_check(sys):
     so p_i(-x) = p_{d-i}(x).  Given S*^2 = I and S* A = -A S*, then
     S* E_i S* = p_i(-A) = E_{d-i}; conversely summing theta_i S* E_i gives
     S* A = -A S*.  So "S* E_i = E_{d-i} S*" is those two verdicts.
+
+    The reversed-dual relative needs no array of its own: theta* is
+    antisymmetric, so reversing it negates it, and c_i, b_i are of degree 0
+    in theta*.  Its A is the system's tridiagonal(c, b) and its A* is
+    diag(theta* reversed).
     """
     rb = ReportBuilder()
     if sys.E is None:
@@ -395,22 +407,11 @@ def involutions_check(sys):
     rb.record("S* E_i = E_{d-i} S*", squares and negates)
     rb.matrices_equal("S S* = (-1)^d S* S", S * Ss, Ss * S * fld(-1) ** sys.d)
     rb.matrix_zero("sum (-1)^i (E_i A* + A* E_i) = 0", SB + BS)
-    # the relative's A and A* as build_system would make them
-    down = relatives(sys.array)["down"]
-    inters = intersection_numbers(down)
     rb.matrices_equal("S A S = A of the reversed-dual relative", S * A * S,
-                      _tridiagonal(fld, inters.c, inters.b, n))
+                      _tridiagonal(fld, sys.inters.c, sys.inters.b, n))
     rb.matrices_equal("S A* S = A* of the reversed-dual relative",
-                      SB * S, diagonal(fld, down.theta_star))
+                      SB * S, diagonal(fld, sys.array.theta_star[::-1]))
     return rb.build()
-
-
-def _poly_chain(x, roots, eye):
-    """chain[i] = (x - roots[0] I) ... (x - roots[i-1] I)."""
-    chain = [eye]
-    for t in roots:
-        chain.append(chain[-1] * (x - eye * t))
-    return chain
 
 
 def sd_isomorphism(sys):
@@ -425,13 +426,10 @@ def sd_isomorphism(sys):
     fld = sys.field
     d = sys.d
     n = d + 1
-    eye = identity(fld, n)
     theta, theta_star = sys.array.theta, sys.array.theta_star
     A, B = sys.A, sys.A_star
-    tau = _poly_chain(A, theta, eye)
-    eta = _poly_chain(A, tuple(reversed(theta)), eye)
-    tau_s = _poly_chain(B, theta_star, eye)
-    eta_s = _poly_chain(B, tuple(reversed(theta_star)), eye)
+    tau, eta = poly_chain(A, theta), poly_chain(A, theta[::-1])
+    tau_s, eta_s = poly_chain(B, theta_star), poly_chain(B, theta_star[::-1])
 
     e0_esd = sys.E_star[0] * sys.E[d]
     e0s_ed = sys.E[0] * sys.E_star[d]

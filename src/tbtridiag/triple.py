@@ -24,7 +24,7 @@ from .errors import (BetaInvalid, KappaMismatch, NoSquareRootInField,
                      NotSelfDual, RelationViolation, require)
 from .matrices import (Matrix, diagonal, identity, primitive_idempotents,
                        spectral_sum)
-from .recurrences import solve_q
+from .recurrences import basis_asym, solve_q
 from .report import ReportBuilder
 from .system import dagger, dagger_map
 
@@ -85,7 +85,9 @@ def triple_scalars(sys, beta=None):
     For d <= 2 every scalar is a fundamental parameter; the case is chosen by
     the optional beta argument (default 2).  z solves z^2 = -rho, rho, or
     rho/(4 - beta^2) by case, taking the canonical square root; a missing root
-    raises NoSquareRootInField with the extension to add.
+    raises NoSquareRootInField with the extension to add.  beta = -2 at odd d
+    (possible only at d = 1, where beta is free) gives rho = 0, so z = 0 and
+    raises BetaInvalid.
     """
     if not is_self_dual(sys.array):
         raise NotSelfDual("triple completion needs theta == theta_star")
@@ -98,23 +100,17 @@ def triple_scalars(sys, beta=None):
         raise BetaInvalid(f"array has fundamental parameter {unique}, got {beta}")
     else:
         beta = unique
+    if beta == fld(-2) and d % 2:
+        raise BetaInvalid(f"beta = -2 at odd d = {d} gives rho = (beta + 2) "
+                          "theta_r^2 = 0, so z = 0 and C is undefined")
     rho = aw_sequence(sys.array, beta).rho
     theta = sys.array.theta
 
-    if beta == fld(2):
-        h = theta[0] / d
-        require(all(theta[i] == h * (d - 2 * i) for i in range(d + 1)),
-                "theta_i != h (d - 2i)")
-        require(rho == 4 * h * h, "rho != 4 h^2")
-        zsq = -rho
+    if beta == fld(2) or beta == fld(-2):
         q = None
-    elif beta == fld(-2):
         h = theta[0] / d
-        require(all(theta[i] == h * (d - 2 * i) * (-1) ** i for i in range(d + 1)),
-                "theta_i != (-1)^i h (d - 2i)")
-        require(rho == 4 * h * h, "rho != 4 h^2")
-        zsq = rho
-        q = None
+        rho_h = 4 * h * h
+        zsq = -rho if beta == fld(2) else rho
     else:
         q = solve_q(beta)
         if q is None:
@@ -122,11 +118,14 @@ def triple_scalars(sys, beta=None):
                 f"no q in {fld} with q^2 + q^-2 = {beta}; extend the field "
                 "by a root of t^2 - beta*t + 1 and its square root")
         h = theta[0] / (q ** d - q ** (-d))
-        require(all(theta[i] == h * (q ** (d - 2 * i) - q ** (2 * i - d))
-                    for i in range(d + 1)), "theta_i != h (q^(d-2i) - q^(2i-d))")
-        require(rho == h * h * (q * q - (q * q).inverse()) ** 2,
-                "rho != h^2 (q^2 - q^-2)^2")
+        rho_h = h * h * (q * q - (q * q).inverse()) ** 2
         zsq = rho / (4 - beta * beta)
+    # theta_i = h (d - 2i), (-1)^i h (d - 2i) or h (q^(d-2i) - q^(2i-d)) by
+    # case exactly when theta is a multiple of the basis sequence sigma
+    sigma = basis_asym(fld, beta, d, q)
+    require(all(t * sigma[0] == theta[0] * s for t, s in zip(theta, sigma)),
+            "theta is not a multiple of the antisymmetric basis sequence")
+    require(rho == rho_h, "rho != its closed form in h")
     z = fld.sqrt(zsq)
     if z is None:
         hint = f"sqrt({zsq})"

@@ -176,6 +176,27 @@ def test_malformed_input(capsys, tmp_path):
     assert code == 2
 
 
+def test_non_utf8_file_rejected(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"theta": ["\xe9"]}')
+    code, _, err = run(capsys, "verify", "-i", str(path))
+    assert code == 2 and err.startswith("ParseError: cannot read")
+
+
+def test_non_utf8_stdin_rejected(capsys, monkeypatch):
+    # stdin as a strict UTF-8 stream, as under PYTHONIOENCODING=utf-8:strict
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(b"\xff{}"), encoding="utf-8", errors="strict"))
+    code, _, err = run(capsys, "build", "-i", "-")
+    assert code == 2 and err.startswith("ParseError: cannot read -")
+
+
+def test_deeply_nested_json_rejected(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 200000))
+    code, _, err = run(capsys, "verify", "-i", "-")
+    assert (code, err) == (2, "ParseError: invalid JSON: nested too deeply\n")
+
+
 def test_json_number_scalars_rejected(capsys, tmp_path):
     path = tmp_path / "arr.json"
     path.write_text(json.dumps({"field": "Q", "d": 3, "theta": [3, 1, -1, -3],
@@ -523,6 +544,16 @@ def test_negative_beta_as_a_separate_argument(capsys, tmp_path):
     separate = run(capsys, "triple", "-i", path, "--beta", "-1/2")
     assert separate == run(capsys, "triple", "-i", path, "--beta=-1/2")
     assert separate[0] == 2 and separate[2].startswith("NoSquareRootInField")
+
+
+@pytest.mark.parametrize("spec", ["Q", "Q(i)", "Fp:101"])
+def test_beta_minus_two_at_odd_d_rejected(capsys, tmp_path, spec):
+    # rho = (beta + 2) theta_r^2 vanishes, so z = 0 and C is undefined
+    path = str(tmp_path / "arr.json")
+    run(capsys, "generate", "--field", spec, "--family", "small-d1", "--d", "1", "-o", path)
+    code, out, err = run(capsys, "triple", "-i", path, "--beta", "-2")
+    assert (code, out) == (2, "")
+    assert err.startswith("BetaInvalid: beta = -2 at odd d = 1") and "C is undefined" in err
 
 
 FUZZ_GARBAGE = [None, True, False, 0, -1, 3, 2.5, 10 ** 30, [], {}, [[]], {"x": 1},

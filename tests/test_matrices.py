@@ -13,8 +13,8 @@ from tbtridiag.fields import (QQ, PrimeField, QQi, QuadraticExtension,
 from tbtridiag.matrices import (Matrix, _closure_rank, _ExactIntEchelon,
                                 _FieldEchelon, algebra_dimension,
                                 anticommutator, column, commutator, diagonal,
-                                identity, lagrange_idempotents, poly_eval,
-                                primitive_idempotents, rank_one_factors,
+                                identity, lagrange_idempotents, poly_chain,
+                                poly_eval, primitive_idempotents, rank_one_factors,
                                 rank_one_idempotents, spectral_sum, zeros)
 from tbtridiag.system import (build_system, dagger, is_antidiagonal,
                               reverses_products)
@@ -144,6 +144,53 @@ def test_idempotents_errors():
         lagrange_idempotents(KRAW_A, [3, 3, -1, -3])
     with pytest.raises(NotAnnihilated):
         lagrange_idempotents(KRAW_A, [1, 2, 3, 4])
+
+
+def _prefix_suffix_idempotents(x, thetas):
+    """E_i = (prefix product before i) (suffix product after i) / prod (t_i - t_j),
+    the two loops lagrange_idempotents ran before it took both halves from
+    poly_chain."""
+    fld = x.field
+    thetas = [fld(t) for t in thetas]
+    eye = identity(fld, x.nrows)
+    factors = [x - eye * t for t in thetas]
+    k = len(factors)
+    prefix = [eye]
+    for f in factors:
+        prefix.append(prefix[-1] * f)
+    suffix = [eye] * (k + 1)
+    for i in range(k - 1, -1, -1):
+        suffix[i] = factors[i] * suffix[i + 1]
+    out = []
+    for i, ti in enumerate(thetas):
+        denom = fld.one
+        for j, tj in enumerate(thetas):
+            if j != i:
+                denom = denom * (ti - tj)
+        out.append(prefix[i] * suffix[i + 1] * denom.inverse())
+    return out
+
+
+def test_poly_chain_is_the_running_product():
+    chain = poly_chain(KRAW_A, KRAW_THETA)
+    assert len(chain) == 5 and chain[0] == identity(QQ, 4) and chain[-1].is_zero()
+    assert chain[2] == (KRAW_A - identity(QQ, 4) * 3) * (KRAW_A - identity(QQ, 4))
+
+
+@pytest.mark.parametrize("spec", ["Q", "Q(i)", "Fp:101", "Fp2:103"])
+def test_lagrange_idempotents_match_the_prefix_suffix_loops(spec):
+    fld = parse_field(spec)
+    for family, d in ((Family.KRAWTCHOUK, 3), (Family.BANNAI_ITO, 4)):
+        arr = generate_family(fld, family, d)
+        a = build_system(arr).A
+        n = d + 1
+        # off the band, and a diagonal whose spectrum misses some theta_i
+        unit = Matrix(fld, [[int((k, l) == (0, 2)) for l in range(n)] for k in range(n)])
+        eye = identity(fld, n)
+        for x in (a, (eye + unit) * a * (eye - unit),
+                  diagonal(fld, [arr.theta[0]] * 2 + list(arr.theta[2:]))):
+            assert lagrange_idempotents(x, arr.theta) \
+                == _prefix_suffix_idempotents(x, arr.theta)
 
 
 # Each family with the diameters it admits: Bannai/Ito and q-Racah-even need

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 import tbtridiag
 from tbtridiag import system
 from tbtridiag.arrays import (AskeyWilsonSeq, Family, aw_sequence,
-                              aw_sequence_nonzero, generate_family,
+                              aw_sequence_nonzero, generate_family, relatives,
                               validate_array)
 from tbtridiag.errors import NotSelfDual
-from tbtridiag.fields import QQ, parse_field
-from tbtridiag.matrices import (Matrix, column, diagonal, identity,
+from tbtridiag.fields import QQ, RationalField, parse_field
+from tbtridiag.matrices import (Matrix, _closure_rank, _ExactIntEchelon,
+                                _FieldEchelon, column, diagonal, identity,
                                 lagrange_idempotents, zeros)
 from tbtridiag.system import (build_system, dagger, dagger_report,
                               intersection_numbers, involutions_check,
@@ -634,6 +635,93 @@ def test_verify_axioms_forms_no_idempotent(k3, monkeypatch):
         report = verify_axioms(s)
         assert report.passed, report.failures()
     assert verify_axioms(tampered) == expected
+
+
+CLI_FIELDS = ["Q", "Fp:101", "Q(i)", "Fp2:103", "Fp:1000003"]
+LEMMA_FAMILIES = [(Family.KRAWTCHOUK, d, {}) for d in (1, 2, 3, 4, 5)] + [
+    (Family.BANNAI_ITO, 2, {}), (Family.BANNAI_ITO, 4, {}),
+    (Family.QRACAH_EVEN, 4, {"q": 2}), (Family.QRACAH_ODD, 3, {"q": 2}),
+    (Family.QRACAH_ODD, 5, {"q": 3}), (Family.SMALL_D1, 1, {"h_star": 3}),
+    (Family.SMALL_D2, 2, {"h": 2, "h_star": -5})]
+
+
+@pytest.mark.parametrize("spec", CLI_FIELDS)
+def test_reversed_dual_relative_has_the_systems_intersection_numbers(spec):
+    # the lemma involutions_check relies on: theta* is antisymmetric, so the
+    # reversed-dual relative has theta* negated, and c_i, b_i are of degree 0
+    # in theta*
+    fld = parse_field(spec)
+    for family, d, kwargs in LEMMA_FAMILIES:
+        arr = generate_family(fld, family, d, **kwargs)
+        down = relatives(arr)["down"]
+        ours, theirs = intersection_numbers(arr), intersection_numbers(down)
+        assert (theirs.c, theirs.b) == (ours.c, ours.b), (family, d)
+        assert down.theta_star == arr.theta_star[::-1] == tuple(-t for t in arr.theta_star)
+
+
+def test_involutions_check_derives_no_relative(k3, qr3, monkeypatch):
+    from tbtridiag import arrays
+
+    def refuse(*args):
+        raise AssertionError("involutions_check re-derived the relative")
+
+    monkeypatch.setattr(arrays, "validate_array", refuse)
+    monkeypatch.setattr(system, "intersection_numbers", refuse)
+    for s in (k3, qr3):
+        report = involutions_check(s)
+        assert report.passed, report.failures()
+
+
+FULL_ALGEBRA = "A, A* generate the full matrix algebra"
+
+
+def _closure_check(s):
+    """The full-algebra check from the product closure of the stored A, A*."""
+    fld, n = s.field, s.d + 1
+    echelon = _ExactIntEchelon() if isinstance(fld, RationalField) else _FieldEchelon(fld)
+    dim = _closure_rank(fld, [s.A, s.A_star], n, echelon)
+    return CheckResult(FULL_ALGEBRA, dim == n * n,
+                       None if dim == n * n else f"algebra dimension {dim} != {n * n}")
+
+
+def _full_algebra_check(s):
+    return next(c for c in verify_axioms(s) if c.name == FULL_ALGEBRA)
+
+
+def test_full_algebra_in_the_eigenbasis_of_A(k3):
+    # A* = 0 leaves the algebra of A alone, of dimension n
+    doc = emit_system(k3)
+    doc["A_star"] = [["0"] * 4 for _ in range(4)]
+    s = decode_system(doc)
+    assert _full_algebra_check(s) == _closure_check(s) \
+        == CheckResult(FULL_ALGEBRA, False, "algebra dimension 4 != 16")
+
+
+@pytest.fixture(scope="module")
+def eigenbasis_docs():
+    return {spec: [emit_system(build_system(generate_family(parse_field(spec), *args)))
+                   for args in ((Family.KRAWTCHOUK, 1), (Family.KRAWTCHOUK, 3),
+                                (Family.BANNAI_ITO, 4))]
+            for spec in ("Q", "Fp:101", "Fp:7", "Q(i)")}
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:101", "Fp:7", "Q(i)"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_full_algebra_in_the_eigenbasis_matches_the_closure(eigenbasis_docs, spec, data):
+    # A stays on the band, so its E_i have rank one and the dimension is
+    # counted in the basis of the u_i; 1-3 entries of A* are drawn, small
+    # values so that zero patterns and repeated entries occur
+    fld = parse_field(spec)
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(eigenbasis_docs[spec]))))
+    n = len(doc["A_star"])
+    index = st.integers(0, n - 1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        value = fld(data.draw(st.integers(-2, 2)))
+        doc["A_star"][data.draw(index)][data.draw(index)] = fld.encode(value)
+    s = decode_system(doc)
+    assert s.E is not None
+    assert _full_algebra_check(s) == _closure_check(s)
 
 
 _CORRUPTED_BUILD = """

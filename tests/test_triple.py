@@ -75,6 +75,13 @@ def test_scalars_errors():
         triple_scalars(asym)
     with pytest.raises(BetaInvalid):
         triple_scalars(system, beta=QQ(3))
+    # at d = 1 every beta is a fundamental parameter, but beta = -2 gives
+    # rho = 0 and so z = 0
+    Qi = QQi()
+    small = build_system(generate_family(Qi, Family.SMALL_D1, 1))
+    with pytest.raises(BetaInvalid, match="z = 0"):
+        triple_scalars(small, beta=Qi(-2))
+    assert triple_scalars(small, beta=Qi(2)).rho == Qi(4)
 
 
 def test_build_C_golden(golden1):

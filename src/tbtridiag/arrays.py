@@ -92,6 +92,11 @@ def _solve_beta(theta, theta_star):
     return beta
 
 
+def _check_not_char_two(fld):
+    if fld.characteristic == 2:
+        raise CharacteristicTwo("no eigenvalue arrays exist in characteristic 2")
+
+
 def check_array(fld, theta, theta_star):
     """List the conditions violated by a candidate array (empty list = valid)."""
     theta = [fld(t) for t in theta]
@@ -100,8 +105,7 @@ def check_array(fld, theta, theta_star):
         raise LengthMismatch("theta and theta_star have different lengths")
     if len(theta) < 2:
         raise LengthMismatch("diameter must be at least 1")
-    if fld.characteristic == 2:
-        raise CharacteristicTwo("no eigenvalue arrays exist in characteristic 2")
+    _check_not_char_two(fld)
     d = len(theta) - 1
     violations = []
     for name, seq in (("theta", theta), ("theta_star", theta_star)):
@@ -189,6 +193,9 @@ def _check_char_greater(fld, d, family):
         raise CharacteristicViolation(
             f"{family.value} with d={d} needs characteristic 0 or > d, "
             f"got {fld.characteristic}")
+    # only d = 1 gets here in characteristic 2; refuse it as check_array
+    # does, before basis_asym refuses it in its own words
+    _check_not_char_two(fld)
 
 
 def _check_q_conditions(fld, q, d):
@@ -219,16 +226,15 @@ def generate_family(fld, family, d, h=1, h_star=None, q=None):
     if d < 1:
         raise LengthMismatch("diameter must be at least 1")
 
+    tag = FamilyTag(family, h, h_star)
     if family is Family.KRAWTCHOUK:
         _check_char_greater(fld, d, family)
-        sigma = [d - 2 * i for i in range(d + 1)]
-        tag = FamilyTag(family, h, h_star)
+        sigma = basis_asym(fld, 2, d)
     elif family is Family.BANNAI_ITO:
         if d % 2 == 1:
             raise BannaiItoOddDiameter(f"bannai-ito needs even d, got {d}")
         _check_char_greater(fld, d, family)
-        sigma = [(d - 2 * i) * (-1) ** i for i in range(d + 1)]
-        tag = FamilyTag(family, h, h_star)
+        sigma = basis_asym(fld, -2, d)
     elif family in (Family.QRACAH_EVEN, Family.QRACAH_ODD):
         want_odd = family is Family.QRACAH_ODD
         if d % 2 != (1 if want_odd else 0):
@@ -237,27 +243,16 @@ def generate_family(fld, family, d, h=1, h_star=None, q=None):
             raise QConditionViolation(f"{family.value} requires a q parameter")
         q = fld(q)
         _check_q_conditions(fld, q, d)
-        denom = (q - q.inverse()) if want_odd else (q * q - (q * q).inverse())
-        dinv = denom.inverse()
-        sigma = [(q ** (d - 2 * i) - q ** (2 * i - d)) * dinv for i in range(d + 1)]
         beta = q * q + (q * q).inverse()
+        sigma = basis_asym(fld, beta, d, q)
         tag = FamilyTag(family, h, h_star, q=q, beta=beta)
-    elif family is Family.SMALL_D1:
-        if d != 1:
-            raise LengthMismatch("small-d1 has d = 1")
+    else:
+        small_d = 1 if family is Family.SMALL_D1 else 2
+        if d != small_d:
+            raise LengthMismatch(f"{family.value} has d = {small_d}")
         if fld.characteristic == 2:
             raise CharacteristicViolation("characteristic 2 admits no arrays")
-        sigma = [1, -1]
-        tag = FamilyTag(family, h, h_star)
-    elif family is Family.SMALL_D2:
-        if d != 2:
-            raise LengthMismatch("small-d2 has d = 2")
-        if fld.characteristic == 2:
-            raise CharacteristicViolation("characteristic 2 admits no arrays")
-        sigma = [1, 0, -1]
-        tag = FamilyTag(family, h, h_star)
-    else:  # pragma: no cover
-        raise Unclassifiable(str(family))
+        sigma = [1, -1] if d == 1 else [1, 0, -1]
 
     theta = [h * s for s in sigma]
     theta_star = [h_star * s for s in sigma]

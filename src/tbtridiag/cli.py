@@ -159,9 +159,10 @@ def cmd_verify(args):
     return 0 if report.passed else 1
 
 
-def _complete_triple(system, beta):
-    """The Leonard-triple completion of a self-dual system and its report."""
-    tri = build_C(system, triple_scalars(system, beta=beta))
+def _complete_triple(system, sc):
+    """The Leonard-triple completion of a self-dual system with scalars sc,
+    and its report."""
+    tri = build_C(system, sc)
     w = build_W(tri)
     inv = spectral_inverses(tri, w)
     report = combine(braid_check(w),
@@ -174,9 +175,13 @@ def cmd_triple(args):
     doc = _read_doc(args.input)
     if "theta" not in doc:
         raise ParseError("triple expects an eigenvalue-array document")
-    system = build_system(self_dualize(_load_array(doc)))
-    beta = system.field.parse(args.beta) if args.beta else None
-    tri, w, report = _complete_triple(system, beta)
+    arr = self_dualize(_load_array(doc))
+    beta = arr.field.parse(args.beta) if args.beta else None
+    # the scalars need only the array: a missing square root fails here,
+    # before the system is built
+    sc = triple_scalars(arr, beta=beta)
+    system = build_system(arr)
+    tri, w, report = _complete_triple(system, sc)
     triple_doc = serialize.emit_triple(system, tri, w)
     if args.output:
         _write_out(serialize.dumps(triple_doc), args.output)
@@ -223,7 +228,7 @@ def cmd_selftest(args):
     for kind, grid, check in (
             ("verify", _SELFTEST_GRID, _full_verification),
             ("triple", _SELFTEST_TRIPLES,
-             lambda system: _complete_triple(system, None)[2])):
+             lambda system: _complete_triple(system, triple_scalars(system.array))[2])):
         for spec, family, d, kwargs in grid:
             ok = check(_selftest_system(spec, family, d, kwargs)).passed
             failed += not ok

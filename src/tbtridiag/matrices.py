@@ -23,12 +23,14 @@ kernel product.
 Primitive idempotents come two ways.  For an irreducible tridiagonal matrix
 each one has rank one, and ``rank_one_idempotents`` builds it from its right
 and left eigenvectors, which the three-term recurrence gives in O(n) each.
-It returns the E_i alone: both eigenvectors have first entry 1, so
-``rank_one_factors`` reads them back, up to nonzero scalars, from row 0 and
-column 0 of each E_i.  For any other matrix ``lagrange_idempotents``
+It returns the E_i alone.  For any other matrix ``lagrange_idempotents``
 interpolates densely; it is also the independent reference the tests compare
 the rank-one path with.  ``primitive_idempotents`` picks between the two,
-and it is the only caller of either.
+and it is the only caller of either.  A Lagrange family with no zero E_i
+has rank-one E_i too, since their ranks sum to n.  For any rank-one family
+``rank_one_factors`` reads both eigenvectors back, up to nonzero scalars,
+from row k and column k of each E_i at its first nonzero diagonal entry;
+the recurrence gives both first entry 1, so there k = 0.
 """
 
 from collections import deque
@@ -333,17 +335,21 @@ def rank_one_idempotents(x, eigenvalues):
 
 
 def rank_one_factors(idems):
-    """(left, right) for idempotents E_i = u_i w_i^t / (w_i^t u_i) whose u_i
-    and w_i have first entry 1, as rank_one_idempotents forms them.
+    """(left, right) for rank-one idempotents E_i = u_i w_i^t / (w_i^t u_i).
 
-    Row i of left is row 0 of E_i, that is w_i^t / (w_i^t u_i), and column j
-    of right is column 0 of E_j, that is u_j / (w_j^t u_j).  So
-    (left * M * right)[i, j] is a nonzero multiple of w_i^t M u_j, and it
-    vanishes exactly when E_i M E_j does.
+    A rank-one idempotent has trace 1, so some diagonal entry
+    E_i[k, k] = u_i[k] w_i[k] / (w_i^t u_i) is nonzero; take the first.  Row
+    i of left is row k of E_i, a nonzero multiple of w_i^t, and column i of
+    right is column k of E_i, a nonzero multiple of u_i.  So
+    (left * M * right)[i, j] is a nonzero multiple of w_i^t M u_j, and so
+    is E_i M E_j of u_i w_j^t: one vanishes exactly when the other does.
+    rank_one_idempotents gives u_i and w_i first entry 1, so there k = 0.
     """
     field = idems[0].field
-    return (Matrix.from_raw(field, [e.raw[0] for e in idems]),
-            Matrix.from_raw(field, zip(*[[row[0] for row in e.raw] for e in idems])))
+    pairs = [(e.raw, next(k for k, row in enumerate(e.raw) if row[k] != field._zero_raw))
+             for e in idems]
+    return (Matrix.from_raw(field, [raw[k] for raw, k in pairs]),
+            Matrix.from_raw(field, zip(*[[row[k] for row in raw] for raw, k in pairs])))
 
 
 def primitive_idempotents(x, eigenvalues):

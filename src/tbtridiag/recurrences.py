@@ -134,8 +134,8 @@ def basis_asym(field, beta, d, q=None):
         return tuple(field(d - 2 * i) for i in range(d + 1))
     if beta == field(-2):
         if d % 2 == 0:
-            return tuple(field(d - 2 * i) * field(-1) ** i for i in range(d + 1))
-        return tuple(field(-1) ** i for i in range(d + 1))
+            return tuple(field((d - 2 * i) * (-1) ** i) for i in range(d + 1))
+        return tuple(field((-1) ** i) for i in range(d + 1))
     q = _require_q(beta, q)
     scale = (q * q - (q * q).inverse() if d % 2 == 0
              else q - q.inverse()).inverse()

@@ -220,7 +220,7 @@ def decode_triple(doc):
     if sys.A_star != diagonal(fld, theta):
         raise ParseError("stored A_star is not diag(theta)")
     try:
-        sc = triple_scalars(sys, stored["beta"])
+        sc = triple_scalars(sys.array, stored["beta"])
     except TBTridiagError as exc:
         raise ParseError(f"stored beta gives no triple completion: {exc}") from None
     E_dprime = primitive_idempotents(C, theta)

@@ -193,16 +193,19 @@ def verify_axioms(sys):
     path that is the product it tests; an irreducible tridiagonal A is
     nonderogatory, so its theta_i are all eigenvalues exactly when the
     product vanishes).  Only an unset E forms the product, for its witness.
-    (d) with rank-one E_i is decided in the basis of the u_i: there A is
-    diag(theta), with distinct entries, and A* has the zero pattern of the
-    sandwich scalars w_i^t A* u_j, so algebra_dimension counts reachable
-    pairs whatever A* is.  A Lagrange family may hold a zero E_i, so it and
-    an unset E keep the generators A, A*.  (e) is decided on A alone.
+    (b) and (d) with rank-one E_i are decided in the basis of their right
+    eigenvectors u_i: there A is diag(theta), with distinct entries, and A*
+    has the zero pattern of the sandwich scalars w_i^t A* u_j, which
+    rank_one_factors reads off the E_i, so algebra_dimension counts
+    reachable pairs whatever A* is.  The E_i resolve I, so their ranks sum
+    to n, and they all have rank one exactly when none is zero: every
+    recurrence family, and a Lagrange family whenever A's spectrum is all
+    of theta.  A family with a zero E_i scans E_i A* E_j densely, and it
+    and an unset E keep the generators A, A*.  (e) is decided on A alone.
     A^0 = I always fits.  An A that fits at r = 1 is tridiagonal with
     nonzero off-diagonal entries, so A^r has bandwidth r and (A^r)[i, i+r],
     (A^r)[i+r, i] are products of r of those entries, nonzero: every r fits.
-    So (e) has the verdict and witness of the r = 1 scan, which is also the
-    test for rank-one idempotents.
+    So (e) has the verdict and witness of the r = 1 scan.
     """
     rb = ReportBuilder()
     fld = sys.field
@@ -231,7 +234,7 @@ def verify_axioms(sys):
         rb.record("sandwich pattern: E_i A* E_j", False,
                   "primitive idempotents of A unavailable (not annihilated)")
     else:
-        if band_witness is None:
+        if not any(e.is_zero() for e in E):
             # rank-one E_i: E_i A* E_j vanishes iff the scalar w_i^t A* u_j
             # does, whatever A* is
             left, right = rank_one_factors(E)

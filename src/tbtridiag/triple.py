@@ -79,21 +79,22 @@ class WData:
     kappa: object
 
 
-def triple_scalars(sys, beta=None):
-    """Extract (beta, rho, h, z, q) for a self-dual system.
+def triple_scalars(arr, beta=None):
+    """Extract (beta, rho, h, z, q) for a self-dual eigenvalue array.
 
-    For d <= 2 every scalar is a fundamental parameter; the case is chosen by
-    the optional beta argument (default 2).  z solves z^2 = -rho, rho, or
-    rho/(4 - beta^2) by case, taking the canonical square root; a missing root
-    raises NoSquareRootInField with the extension to add.  beta = -2 at odd d
-    (possible only at d = 1, where beta is free) gives rho = 0, so z = 0 and
-    raises BetaInvalid.
+    The scalars need the array alone, so a caller can decide them, and fail,
+    before it builds the system.  For d <= 2 every scalar is a fundamental
+    parameter; the case is chosen by the optional beta argument (default 2).
+    z solves z^2 = -rho, rho, or rho/(4 - beta^2) by case, taking the
+    canonical square root; a missing root raises NoSquareRootInField with the
+    extension to add.  beta = -2 at odd d (possible only at d = 1, where beta
+    is free) gives rho = 0, so z = 0 and raises BetaInvalid.
     """
-    if not is_self_dual(sys.array):
+    if not is_self_dual(arr):
         raise NotSelfDual("triple completion needs theta == theta_star")
-    fld = sys.field
-    d = sys.d
-    unique = fundamental_parameter(sys.array)
+    fld = arr.field
+    d = arr.d
+    unique = fundamental_parameter(arr)
     if unique is ANY_BETA:
         beta = fld(2) if beta is None else fld(beta)
     elif beta is not None and fld(beta) != unique:
@@ -103,8 +104,8 @@ def triple_scalars(sys, beta=None):
     if beta == fld(-2) and d % 2:
         raise BetaInvalid(f"beta = -2 at odd d = {d} gives rho = (beta + 2) "
                           "theta_r^2 = 0, so z = 0 and C is undefined")
-    rho = aw_sequence(sys.array, beta).rho
-    theta = sys.array.theta
+    rho = aw_sequence(arr, beta).rho
+    theta = arr.theta
 
     if beta == fld(2) or beta == fld(-2):
         q = None
@@ -140,28 +141,22 @@ def triple_scalars(sys, beta=None):
 def build_C(sys, sc):
     """Adjoin the third element C and both remaining idempotent families.
 
-    C is defined from the A,B relation of the case and the other two cyclic
-    relations are then verified exactly.
+    The three cases are one q-commutator relation a XY + b YX = s Z, with
+    (a, b, s) = (1, -1, z) at beta = 2, (1, 1, z) at beta = -2 and
+    (q, -q^-1, z (q^2 - q^-2)) otherwise.  The pair (A, B) defines
+    C = (a AB + b BA) s^-1, and the other two cyclic relations, on (B, C, A)
+    and (C, A, B), are then verified exactly.
     """
     fld = sys.field
     A, B = sys.A, sys.A_star
-    z = sc.z
-    if sc.case == "beta=2":
-        C = (A * B - B * A) * z.inverse()
-        rel1 = (B * C - C * B, A * z)
-        rel2 = (C * A - A * C, B * z)
-    elif sc.case == "beta=-2":
-        C = (A * B + B * A) * z.inverse()
-        rel1 = (B * C + C * B, A * z)
-        rel2 = (C * A + A * C, B * z)
-    else:
+    if sc.case == "beta!=+-2":
         q = sc.q
-        scale = ((q * q - (q * q).inverse()) * z).inverse()
-        C = (q * (A * B) - q.inverse() * (B * A)) * scale
-        rel1 = (q * (B * C) - q.inverse() * (C * B), A * (z * (q * q - (q * q).inverse())))
-        rel2 = (q * (C * A) - q.inverse() * (A * C), B * (z * (q * q - (q * q).inverse())))
-    for k, (lhs, rhs) in enumerate((rel1, rel2), start=1):
-        if lhs != rhs:
+        a, b, s = q, -q.inverse(), sc.z * (q * q - (q * q).inverse())
+    else:
+        a, b, s = fld.one, fld(-1 if sc.case == "beta=2" else 1), sc.z
+    C = (a * (A * B) + b * (B * A)) * s.inverse()
+    for k, (X, Y, Z) in enumerate(((B, C, A), (C, A, B)), start=1):
+        if a * (X * Y) + b * (Y * X) != Z * s:
             raise RelationViolation(f"cyclic relation {k} failed for case {sc.case}")
     theta = sys.array.theta
     # B = A* is diagonal, so its primitive idempotents are the matrix units

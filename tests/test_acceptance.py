@@ -247,14 +247,14 @@ def _check_triple(system, sc, tri, w):
 def _run_triple_suite(fld_i, fld_real, q, i_unit):
     for family, d, qq, beta in _triple_cases(fld_i, q, i_unit):
         system = build_system(generate_family(fld_i, family, d, q=qq))
-        sc = triple_scalars(system, beta=beta)
+        sc = triple_scalars(system.array, beta=beta)
         tri = build_C(system, sc)
         w = build_W(tri)
         _check_triple(system, sc, tri, w)
     # anticommutator case (beta = -2) needs no square-root extension
     for d in (2, 4, 6, 8):
         system = build_system(generate_family(fld_real, Family.BANNAI_ITO, d))
-        sc = triple_scalars(system, beta=fld_real(-2))
+        sc = triple_scalars(system.array, beta=fld_real(-2))
         tri = build_C(system, sc)
         w = build_W(tri)
         _check_triple(system, sc, tri, w)
@@ -330,7 +330,7 @@ def test_criterion_10_negative_witnesses():
     # perturbed t_1
     Qi = QQi()
     sys_i = build_system(generate_family(Qi, Family.SMALL_D1, 1))
-    sc = triple_scalars(sys_i)
+    sc = triple_scalars(sys_i.array)
     tri = build_C(sys_i, sc)
     w = build_W(tri)
     bad_t = (w.t[0], w.t[1] + 1)

@@ -241,3 +241,49 @@ def test_antisymmetric_mutdist_inequalities():
             assert t[1] * t[i] != t[0] * t[i - 1]
             assert t[1] * t[i] != t[0] * t[i + 1]
         assert t[1] * t[d] == t[0] * t[d - 1]
+
+
+def _inline_sigma(fld, family, d, q=None):
+    """The basis sequence generate_family wrote out per family before it
+    took it from basis_asym."""
+    if family is Family.KRAWTCHOUK:
+        return [d - 2 * i for i in range(d + 1)]
+    if family is Family.BANNAI_ITO:
+        return [(d - 2 * i) * (-1) ** i for i in range(d + 1)]
+    q = fld(q)
+    denom = (q - q.inverse()) if d % 2 else (q * q - (q * q).inverse())
+    return [(q ** (d - 2 * i) - q ** (2 * i - d)) * denom.inverse() for i in range(d + 1)]
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:101", "Q(i)", "Fp2:103"])
+def test_generate_family_matches_the_inline_sequences(spec):
+    from tbtridiag.errors import TBTridiagError
+    from tbtridiag.fields import parse_field
+    fld = parse_field(spec)
+    h, h_star = fld(3), fld(-2)
+    # over Fp:101 and Q(i) the third q is a square root of -1, which only
+    # d = 1 admits, with beta = q^2 + q^-2 = -2
+    third = {"Q": Fraction(-1, 2), "Fp:101": 10}
+    qs = [fld(2), fld(5), fld(third[spec]) if spec in third else fld.gen()]
+    jobs = [(Family.KRAWTCHOUK, d, None) for d in range(1, 9)]
+    jobs += [(Family.BANNAI_ITO, d, None) for d in range(2, 9, 2)]
+    jobs += [(Family.QRACAH_ODD if d % 2 else Family.QRACAH_EVEN, d, q)
+             for d in range(1, 9) for q in qs]
+    generated = set()
+    for family, d, q in jobs:
+        try:
+            arr = generate_family(fld, family, d, h=h, h_star=h_star, q=q)
+        except TBTridiagError:
+            continue  # q^(2i) = +-1 for some i: the q conditions refuse it
+        sigma = _inline_sigma(fld, family, d, q)
+        assert list(arr.theta) == [h * s for s in sigma]
+        assert list(arr.theta_star) == [h_star * s for s in sigma]
+        generated.add((family, d))
+    assert len(generated) == len(set((family, d) for family, d, _ in jobs))
+
+
+def test_krawtchouk_d1_in_characteristic_two_is_refused_as_before():
+    # the array check's words, not basis_asym's
+    with pytest.raises(CharacteristicTwo) as err:
+        generate_family(PrimeField(2), Family.KRAWTCHOUK, 1)
+    assert str(err.value) == "no eigenvalue arrays exist in characteristic 2"

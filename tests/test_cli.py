@@ -53,6 +53,13 @@ def test_generate_characteristic_violation(capsys):
     assert "CharacteristicViolation" in err
 
 
+def test_generate_in_characteristic_two(capsys):
+    code, out, err = run(capsys, "generate", "--family", "krawtchouk",
+                         "--d", "1", "--field", "Fp:2")
+    assert (code, out) == (2, "")
+    assert err == "CharacteristicTwo: no eigenvalue arrays exist in characteristic 2\n"
+
+
 def test_generate_respects_max_d(capsys, monkeypatch):
     monkeypatch.setenv("TB_TRIDIAG_MAX_D", "4")
     code, _, err = run(capsys, "generate", "--family", "krawtchouk",
@@ -154,6 +161,20 @@ def test_triple_needs_square_root(capsys, tmp_path):
     code, _, err = run(capsys, "triple", "-i", str(arr_path))
     assert code == 2
     assert "NoSquareRootInField" in err and "Q(i)" in err
+
+
+def test_triple_without_a_square_root_never_builds(capsys, tmp_path, monkeypatch):
+    # the scalars need only the array, so the missing root is found first
+    from tbtridiag import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_system", lambda arr: built.append(arr))
+    arr_path = tmp_path / "arr.json"
+    run(capsys, "generate", "--family", "qracah-odd", "--d", "5", "--q", "2",
+        "--field", "Q", "-o", str(arr_path))
+    code, out, err = run(capsys, "triple", "-i", str(arr_path))
+    assert (code, out, built) == (2, "", [])
+    assert err.startswith("NoSquareRootInField: z^2 = ")
 
 
 def test_triple_self_dualizes_input(capsys, tmp_path):

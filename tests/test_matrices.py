@@ -702,3 +702,39 @@ def test_rank_one_factors_decide_sandwiches(spec, data):
     for i, ei in enumerate(idems):
         for j, ej in enumerate(idems):
             assert scalars[i, j].is_zero() == _boxed_mul(_boxed_mul(ei, m), ej).is_zero()
+
+
+@st.composite
+def _any_rank_one_idempotents(draw, fld, n):
+    """E = u w^t / (w^t u) with u and w free, so that E[0, 0] may vanish, as
+    it can in a Lagrange family; w = e_k at a nonzero u_k where w^t u = 0."""
+    u = [draw(_elements(fld)) for _ in range(n)]
+    if all(v.is_zero() for v in u):
+        u[draw(st.integers(0, n - 1))] = fld.one
+    w = [draw(_elements(fld)) for _ in range(n)]
+    norm = _boxed_dot(w, u)
+    if norm.is_zero():
+        k = next(k for k, v in enumerate(u) if not v.is_zero())
+        w, norm = [fld.one if l == k else fld.zero for l in range(n)], u[k]
+    return Matrix(fld, [[a * b / norm for b in w] for a in u])
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_rank_one_factors_decide_sandwiches_off_the_first_row(spec, data):
+    # the factors come from row and column k at the first nonzero diagonal
+    # entry, which a rank-one idempotent has: its trace is 1
+    fld = parse_field(spec)
+    n = data.draw(st.integers(1, 5))
+    idems = [data.draw(_any_rank_one_idempotents(fld, n))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    m = data.draw(_matrices(fld, n, n))
+    left, right = rank_one_factors(idems)
+    scalars = left * m * right
+    for i, ei in enumerate(idems):
+        k = next(k for k in range(n) if not ei[k, k].is_zero())
+        assert left.rows[i] == ei.rows[k]
+        assert [right[l, i] for l in range(n)] == [ei[l, k] for l in range(n)]
+        for j, ej in enumerate(idems):
+            assert scalars[i, j].is_zero() == _boxed_mul(_boxed_mul(ei, m), ej).is_zero()

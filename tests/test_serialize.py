@@ -51,7 +51,7 @@ def test_system_round_trip():
 def test_triple_round_trip():
     Qi = QQi()
     system = build_system(generate_family(Qi, Family.KRAWTCHOUK, 3))
-    sc = triple_scalars(system)
+    sc = triple_scalars(system.array)
     tri = build_C(system, sc)
     w = build_W(tri)
     doc = emit_triple(system, tri, w)
@@ -94,7 +94,7 @@ def test_decode_system_tolerates_broken_A():
 
 def _triple_doc(fld, family, d, q=None):
     system = build_system(generate_family(fld, family, d, q=q))
-    tri = build_C(system, triple_scalars(system))
+    tri = build_C(system, triple_scalars(system.array))
     return emit_triple(system, tri, build_W(tri))
 
 

@@ -724,6 +724,81 @@ def test_full_algebra_in_the_eigenbasis_matches_the_closure(eigenbasis_docs, spe
     assert _full_algebra_check(s) == _closure_check(s)
 
 
+def _conjugated_doc(doc, fld, i, j, x):
+    """doc with A replaced by (I + x e_ij) A (I - x e_ij), i != j: the same
+    spectrum, so A stays annihilated, but off the band as a rule."""
+    n = len(doc["A"])
+    unit = Matrix(fld, [[x if (k, l) == (i, j) else 0 for l in range(n)] for k in range(n)])
+    eye = identity(fld, n)
+    A = Matrix(fld, [[fld.parse(v) for v in row] for row in doc["A"]])
+    conj = (eye + unit) * A * (eye - unit)
+    out = json.loads(json.dumps(doc))
+    out["A"] = [[fld.encode(conj[k, l]) for l in range(n)] for k in range(n)]
+    return out
+
+
+def _sandwich_check(s):
+    check = next(c for c in verify_axioms(s) if c.name == "sandwich pattern: E_i A* E_j")
+    return check.passed, check.witness
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:101", "Fp:7", "Q(i)"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lagrange_documents_take_the_eigenbasis(eigenbasis_docs, spec, data):
+    # A conjugated onto the Lagrange path keeps its spectrum, so no E_i is
+    # zero and each has rank one: the dimension is counted in the basis of
+    # the u_i, never by the closure, and the sandwich scalars decide as the
+    # dense scan does; 0-3 entries of A* are drawn as above
+    from tbtridiag import matrices
+
+    fld = parse_field(spec)
+    doc = data.draw(st.sampled_from(eigenbasis_docs[spec]))
+    n = len(doc["A"])
+    index = st.integers(0, n - 1)
+    i = data.draw(index)
+    j = data.draw(index.filter(lambda j: j != i))
+    doc = _conjugated_doc(doc, fld, i, j, fld(data.draw(st.integers(1, 3))))
+    for _ in range(data.draw(st.integers(0, 3))):
+        value = fld(data.draw(st.integers(-2, 2)))
+        doc["A_star"][data.draw(index)][data.draw(index)] = fld.encode(value)
+    s = decode_system(doc)
+    assert s.E is not None and not any(e.is_zero() for e in s.E)
+
+    def refuse(*args):
+        raise AssertionError("product closure reached with rank-one idempotents")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrices, "_closure_rank", refuse)
+        full, sandwich = _full_algebra_check(s), _sandwich_check(s)
+    assert full == _closure_check(s)
+    assert sandwich == _dense_sandwich(s)
+
+
+@pytest.mark.parametrize("a_star_entry", [None, (0, 1, "1")])
+def test_a_family_with_a_zero_idempotent_keeps_the_dense_scan(k3, a_star_entry, monkeypatch):
+    # a diagonal A whose spectrum misses theta_1: E_1 = p_1(A) = 0, so the
+    # E_i do not all have rank one; with a non-diagonal A* the closure runs
+    from tbtridiag import matrices
+
+    doc = emit_system(k3)
+    theta = doc["array"]["theta"]
+    spectrum = [theta[0], theta[0]] + theta[2:]
+    doc["A"] = [[spectrum[i] if i == j else "0" for j in range(4)] for i in range(4)]
+    if a_star_entry is not None:
+        i, j, value = a_star_entry
+        doc["A_star"][i][j] = value
+    s = decode_system(doc)
+    assert s.E[1].is_zero()
+    calls = []
+    closure = matrices._closure_rank
+    monkeypatch.setattr(matrices, "_closure_rank",
+                        lambda *args: calls.append(args) or closure(*args))
+    assert _full_algebra_check(s) == _closure_check(s)
+    assert len(calls) == (a_star_entry is not None)
+    assert _sandwich_check(s) == _dense_sandwich(s) == (False, "E_0 A* E_0 != 0")
+
+
 _CORRUPTED_BUILD = """
 import sys
 from tbtridiag import system

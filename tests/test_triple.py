@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbtridiag.arrays import Family, generate_family, validate_array
-from tbtridiag.errors import BetaInvalid, NoSquareRootInField, NotSelfDual, Singular
+from tbtridiag.errors import (BetaInvalid, NoSquareRootInField, NotSelfDual,
+                              RelationViolation, Singular)
 from tbtridiag.fields import QQ, PrimeField, QQi, parse_field
 from tbtridiag.matrices import (Matrix, diagonal, identity,
                                 primitive_idempotents, spectral_sum)
@@ -21,7 +22,7 @@ from tbtridiag.triple import (LeonardTriple, WData, antiautomorphism_report,
 
 def _triple(fld, family, d, q=None, beta=None, h=1):
     system = build_system(generate_family(fld, family, d, h=h, q=q))
-    sc = triple_scalars(system, beta=beta)
+    sc = triple_scalars(system.array, beta=beta)
     tri = build_C(system, sc)
     return system, tri, build_W(tri)
 
@@ -58,7 +59,7 @@ def test_scalars_beta_minus_two(golden_bi4):
 def test_scalars_generic_beta():
     Qi = QQi()
     system = build_system(generate_family(Qi, Family.QRACAH_ODD, 3, q=2))
-    sc = triple_scalars(system)
+    sc = triple_scalars(system.array)
     # z^2 = rho / (4 - beta^2) = -h^2 with h = theta_0 / (q^d - q^{-d}) = 2/3
     assert sc.h == Qi(2) / 3
     assert sc.z == (Qi(2) / 3) * Qi.gen()
@@ -68,20 +69,20 @@ def test_scalars_generic_beta():
 def test_scalars_errors():
     system = build_system(generate_family(QQ, Family.KRAWTCHOUK, 3))
     with pytest.raises(NoSquareRootInField) as err:
-        triple_scalars(system)
+        triple_scalars(system.array)
     assert "Q(i)" in str(err.value)
     asym = build_system(generate_family(QQ, Family.KRAWTCHOUK, 3, h=1, h_star=2))
     with pytest.raises(NotSelfDual):
-        triple_scalars(asym)
+        triple_scalars(asym.array)
     with pytest.raises(BetaInvalid):
-        triple_scalars(system, beta=QQ(3))
+        triple_scalars(system.array, beta=QQ(3))
     # at d = 1 every beta is a fundamental parameter, but beta = -2 gives
     # rho = 0 and so z = 0
     Qi = QQi()
     small = build_system(generate_family(Qi, Family.SMALL_D1, 1))
     with pytest.raises(BetaInvalid, match="z = 0"):
-        triple_scalars(small, beta=Qi(-2))
-    assert triple_scalars(small, beta=Qi(2)).rho == Qi(4)
+        triple_scalars(small.array, beta=Qi(-2))
+    assert triple_scalars(small.array, beta=Qi(2)).rho == Qi(4)
 
 
 def test_build_C_golden(golden1):
@@ -284,7 +285,7 @@ def test_normalized_cyclic_relations_generic():
     q = Qi(2)
     h_ex = i * (q - q.inverse())
     system = build_system(generate_family(Qi, Family.QRACAH_ODD, 3, h=h_ex, q=q))
-    sc = triple_scalars(system)
+    sc = triple_scalars(system.array)
     assert sc.h == i and sc.z == Qi.one
     tri = build_C(system, sc)
     A, B, C = tri.A, tri.B, tri.C
@@ -306,14 +307,14 @@ def test_triple_over_prime_field():
 def test_d2_beta_choice():
     # for d = 2 the fundamental parameter is free: both completions exist
     system = build_system(generate_family(QQ, Family.BANNAI_ITO, 2))
-    sc = triple_scalars(system, beta=QQ(-2))
+    sc = triple_scalars(system.array, beta=QQ(-2))
     assert sc.z == QQ(2)
     tri = build_C(system, sc)
     w = build_W(tri)
     assert braid_check(w).passed
     Qi = QQi()
     system_i = build_system(generate_family(Qi, Family.SMALL_D2, 2, h=1))
-    sc2 = triple_scalars(system_i)  # defaults to beta = 2
+    sc2 = triple_scalars(system_i.array)  # defaults to beta = 2
     assert sc2.beta == Qi(2)
     assert build_W(build_C(system_i, sc2)).kappa == expected_kappa(sc2, 2)
 
@@ -518,3 +519,76 @@ def test_rho_cycles_verdict_matches_the_loop(golden_triples, case, data):
     check = next(c for c in report if c.name == RHO_CYCLES)
     assert check.passed == _rho_cycles_loop(conj, w) == (C == tri.C)
     assert check.witness is None
+
+
+# ---------------------------------------------------------------------------
+# One q-commutator relation for all three cases, against the per-case
+# formulas build_C wrote out before
+# ---------------------------------------------------------------------------
+
+def _per_case_C(system, sc):
+    """C and both cyclic relations (lhs, rhs), each case written out."""
+    A, B, z = system.A, system.A_star, sc.z
+    if sc.case == "beta=2":
+        C = (A * B - B * A) * z.inverse()
+        return C, [(B * C - C * B, A * z), (C * A - A * C, B * z)]
+    if sc.case == "beta=-2":
+        C = (A * B + B * A) * z.inverse()
+        return C, [(B * C + C * B, A * z), (C * A + A * C, B * z)]
+    q = sc.q
+    scale = z * (q * q - (q * q).inverse())
+    C = (q * (A * B) - q.inverse() * (B * A)) * scale.inverse()
+    return C, [(q * (B * C) - q.inverse() * (C * B), A * scale),
+               (q * (C * A) - q.inverse() * (A * C), B * scale)]
+
+
+# (family, d, q, beta) that complete over the field; over Q only beta = -2 does
+COMPLETIONS = {
+    "Q": [(Family.BANNAI_ITO, 4, None, None), (Family.BANNAI_ITO, 2, None, -2),
+          (Family.SMALL_D2, 2, None, -2)],
+    **{spec: [(Family.KRAWTCHOUK, 3, None, None), (Family.KRAWTCHOUK, 4, None, None),
+              (Family.SMALL_D1, 1, None, None), (Family.BANNAI_ITO, 4, None, None),
+              (Family.BANNAI_ITO, 2, None, -2), (Family.QRACAH_ODD, 3, 2, None),
+              (Family.QRACAH_EVEN, 4, 3, None)]
+       for spec in ("Fp:101", "Q(i)", "Fp2:103")},
+}
+
+
+def _completion(spec, family, d, q, beta):
+    fld = parse_field(spec)
+    system = build_system(generate_family(fld, family, d, q=q))
+    return system, triple_scalars(system.array, None if beta is None else fld(beta))
+
+
+@pytest.mark.parametrize("spec", list(COMPLETIONS))
+def test_build_C_matches_the_per_case_formulas(spec):
+    cases = set()
+    for args in COMPLETIONS[spec]:
+        system, sc = _completion(spec, *args)
+        C, relations = _per_case_C(system, sc)
+        assert build_C(system, sc).C == C
+        assert all(lhs == rhs for lhs, rhs in relations)
+        cases.add(sc.case)
+    assert cases == ({"beta=-2"} if spec == "Q" else {"beta=2", "beta=-2", "beta!=+-2"})
+
+
+@pytest.mark.parametrize("spec", list(COMPLETIONS))
+def test_a_wrong_z_breaks_the_first_cyclic_relation(spec):
+    # C scales with 1/z and the relation's right side with z, so any z
+    # other than +-z breaks relation 1, in the words the per-case code used
+    for args in COMPLETIONS[spec]:
+        system, sc = _completion(spec, *args)
+        bad = dataclasses.replace(sc, z=2 * sc.z)
+        _, relations = _per_case_C(system, bad)
+        assert relations[0][0] != relations[0][1]
+        with pytest.raises(RelationViolation) as err:
+            build_C(system, bad)
+        assert str(err.value) == f"cyclic relation 1 failed for case {sc.case}"
+
+
+def test_scalars_need_only_the_array():
+    Qi = QQi()
+    arr = generate_family(Qi, Family.QRACAH_ODD, 3, q=2)
+    assert triple_scalars(arr) == triple_scalars(build_system(arr).array)
+    with pytest.raises(NoSquareRootInField, match="Q\\(i\\)"):
+        triple_scalars(generate_family(QQ, Family.QRACAH_ODD, 3, q=2))

@@ -12,7 +12,7 @@ Document kinds are recognized by their keys: an array document carries
 import json
 
 from .arrays import Family, FamilyTag, classify, generate_family, validate_array
-from .errors import ParseError, TBTridiagError
+from .errors import NotAnnihilated, ParseError, TBTridiagError
 from .fields import parse_field
 from .matrices import Matrix, diagonal, primitive_idempotents
 from .matrices import lagrange_idempotents  # noqa: F401  perfbench's tracer test checks this binding
@@ -196,8 +196,9 @@ def decode_triple(doc):
     The stored A_star must be diag(theta), the stored beta, rho, h, z, q,
     weights t and kappa the ones the decoded system gives, and W, W', W''
     and P the spectral sums they predict (ParseError naming the first that
-    disagrees).  C stays as stored, so that the reports can check a
-    hand-edited one.
+    disagrees).  C is taken as stored, with its idempotents: a C off theta's
+    spectrum is a ParseError, and a hand-edited C on it decodes only with a
+    W'' edited to match, for the reports to check.
     """
     try:
         sys = decode_system(doc["system"])
@@ -223,7 +224,10 @@ def decode_triple(doc):
         sc = triple_scalars(sys.array, stored["beta"])
     except TBTridiagError as exc:
         raise ParseError(f"stored beta gives no triple completion: {exc}") from None
-    E_dprime = primitive_idempotents(C, theta)
+    try:
+        E_dprime = primitive_idempotents(C, theta)
+    except NotAnnihilated:
+        raise ParseError("stored C is not annihilated by theta's factors") from None
     tri = LeonardTriple(sys.A, sys.A_star, C, sys.E, sys.E_star, E_dprime, sc)
     w = spectral_elements(tri)
     expected = {"beta": sc.beta, "rho": sc.rho, "h": sc.h, "z": sc.z, "q": sc.q,

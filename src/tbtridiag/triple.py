@@ -5,18 +5,21 @@ Askey-Wilson relations into cyclic three-element form.  The spectral elements
 W, W', W'' built from a shared eigenvalue-dependent weight sequence t_i give
 an order-3 inner automorphism rho (conjugation by P = W'W, with P^3 = kappa I),
 an order-2 automorphism sigma, a family of six antiautomorphisms, and through
-rho, sigma an action of the modular group PSL2(Z).
+rho, sigma an action of the modular group PSL2(Z) (compare Curtin, "Modular
+Leonard triples", LAA 424, 2007).  What carries through these maps is decided
+on A, B, C, W, W' and P; a dense image is formed only where such a fact fails.
 
 No report inverts a matrix by elimination.  Every inverse follows from the
-spectral data (compare Curtin, "Modular Leonard triples", LAA 424, 2007):
-W^{-1} = sum t_i^{-1} E_i, W'^{-1} = sum t_i^{-1} E'_i and, since P^3 = kappa I,
-P^{-1} = kappa^{-1} P^2, each certified by one product against I; then
-T^{-1} = (W W' W)^{-1} = W^{-1} W'^{-1} W^{-1} and (X^dagger)^{-1} = (X^{-1})^dagger
-need no certificate.  Gauss-Jordan (``Matrix.inverse``) is only the fallback
-for data that fails a certificate, such as a hand-built WData with a false
-kappa, so the reports and their Singular raises are those of dense inversion.
+spectral data: W^{-1} = sum t_i^{-1} E_i, W'^{-1} = sum t_i^{-1} E'_i and,
+since P^3 = kappa I, P^{-1} = kappa^{-1} P^2, each certified by one product
+against I; then T^{-1} = (W W' W)^{-1} = W^{-1} W'^{-1} W^{-1} and
+(X^dagger)^{-1} = (X^{-1})^dagger need no certificate.  Gauss-Jordan
+(``Matrix.inverse``) is only the fallback for data that fails a certificate,
+such as a hand-built WData with a false kappa, so the reports and their
+Singular raises are those of dense inversion.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .arrays import aw_sequence, fundamental_parameter, is_self_dual, ANY_BETA
@@ -268,15 +271,17 @@ def rho_automorphism(w, x):
 
 
 def braid_check(w):
-    """Braid relations among W, W', W'' and the three factorizations of P."""
+    """Braid relations among W, W', W'' and the three factorizations of P;
+    W'W, W''W' and WW'' are formed once, as (XY)X = X(YX)."""
     rb = ReportBuilder()
     a, b, c = w.W, w.W_prime, w.W_dprime
-    rb.matrices_equal("W W' W = W' W W'", a * b * a, b * a * b)
-    rb.matrices_equal("W' W'' W' = W'' W' W''", b * c * b, c * b * c)
-    rb.matrices_equal("W W'' W = W'' W W''", a * c * a, c * a * c)
-    rb.matrices_equal("P = W' W", w.P, b * a)
-    rb.matrices_equal("P = W'' W'", w.P, c * b)
-    rb.matrices_equal("P = W W''", w.P, a * c)
+    ba, cb, ac = b * a, c * b, a * c
+    rb.matrices_equal("W W' W = W' W W'", a * ba, ba * b)
+    rb.matrices_equal("W' W'' W' = W'' W' W''", b * cb, cb * c)
+    rb.matrices_equal("W W'' W = W'' W W''", ac * a, c * ac)
+    rb.matrices_equal("P = W' W", w.P, ba)
+    rb.matrices_equal("P = W'' W'", w.P, cb)
+    rb.matrices_equal("P = W W''", w.P, ac)
     return rb.build()
 
 
@@ -330,95 +335,101 @@ def _is_scalar(m):
 def antiautomorphism_report(sys, tri, w, inv=None):
     """Action tables and involutivity of the six antiautomorphisms.
 
-    inv is spectral_inverses(tri, w) when the caller has formed it already.
+    inv is spectral_inverses(tri, w) when the caller has formed it already;
+    its inverses are exact.  Four facts are settled first, with no other
+    report's verdict: (F1) dagger fixes W and W' (the first two checks);
+    (F2) rho: X -> P^-1 X P cycles A -> B -> C -> A (A P = P B, B P = P C,
+    C P = P A); (F3) P = W' W; (F4) P^3 is scalar.  Then:
+    - By their twists, dagger' = rho o dagger o rho^-1 and dagger'' =
+      rho^-1 o dagger o rho for any P, so the checks of that name are
+      "rho(C) = A and rho(A) = B" and "rho(A) = B and rho(B) = C".  Under F2
+      the expected images are the rho-relabelled ones of the dagger row
+      (shear included): dagger'(A), (B), (C) pass with dagger(C), (A), (B),
+      and dagger''(A), (B), (C) with dagger(B), (C), (A).
+    - Under F1 each ddagger twist t has (t^dagger)^-1 t = I: "^2 = id" holds.
+    - Under F1 and F3 the composites M P^-1 are I, P^-3 and I, and the
+      ddagger' and ddagger'' rho-checks test (W W')^3 = W P^3 W^-1 and its
+      inverse, so all four follow F4.  With F4, ddagger' and ddagger'' are
+      those rho-conjugates of ddagger, so under F2 their rows follow its row.
+    A failed premise or a False derived verdict forms the dense image, so
+    verdicts and witnesses are those of the dense report.
     """
     rb = ReportBuilder()
     if inv is None:
         inv = spectral_inverses(tri, w)
     P, Pinv = w.P, inv.P_inv
     dag = dagger_map(sys)
-    # (X^dagger)^{-1} = (X^{-1})^dagger: dagger is an antiautomorphism
-    P_dag, P_dag_inv = dag(P), dag(Pinv)
-    twists = _twists(w, inv, P_dag, P_dag_inv)
-    (Pd_P, _), (_, P_Pd), _, _, _ = twists
-    maps = _antiautomorphisms(dag, twists)
-    A, B, C = tri.A, tri.B, tri.C
+    gens = A, B, C = tri.A, tri.B, tri.C
     sc = tri.scalars
-    dag_p, dag_pp = maps.dagger_p, maps.dagger_pp
-    dd, dd_p, dd_pp = maps.ddagger, maps.ddagger_p, maps.ddagger_pp
+    f1 = all([rb.matrices_equal("dagger fixes W", dag(w.W), w.W),
+              rb.matrices_equal("dagger fixes W'", dag(w.W_prime), w.W_prime)])
+    cyc = [X * P == P * Y for X, Y in zip(gens, (B, C, A))]
+    f13 = f1 and P == w.W_prime * w.W
+    f4 = _is_scalar(P * P * P)
+    maps = functools.cache(
+        lambda: _antiautomorphisms(dag, _twists(w, inv, dag(P), dag(Pinv))))
 
-    rb.matrices_equal("dagger fixes W", dag(w.W), w.W)
-    rb.matrices_equal("dagger fixes W'", dag(w.W_prime), w.W_prime)
+    def family(name, base, expected, premise):
+        """Rows k = 0, 1, 2: base and its rho-conjugates; expected(k, i).
+        A True derived verdict stands; anything else is checked densely."""
+        got = [rb.matrices_equal(f"{name}({x})", base(X), expected(0, i))
+               for i, (x, X) in enumerate(zip("ABC", gens))]
+        for k in (1, 2):
+            row = name + "'" * k
+            for i, x in enumerate("ABC"):
+                check = f"{row}({x})"
+                if premise and got[(i - k) % 3]:
+                    rb.record(check, True)
+                else:
+                    f = getattr(maps(), f"{name}_{'p' * k}")
+                    rb.matrices_equal(check, f(gens[i]), expected(k, i))
 
-    if sc.case == "beta=2":
-        table = [("dagger", dag, A, B, -C), ("dagger'", dag_p, -A, B, C),
-                 ("dagger''", dag_pp, A, -B, C)]
-    elif sc.case == "beta=-2":
-        table = [("dagger", dag, A, B, C), ("dagger'", dag_p, A, B, C),
-                 ("dagger''", dag_pp, A, B, C)]
-    else:
-        shear = (sc.z * (sc.q - sc.q.inverse())).inverse()
-        table = [("dagger", dag, A, B, C - (A * B - B * A) * shear),
-                 ("dagger'", dag_p, A - (B * C - C * B) * shear, B, C),
-                 ("dagger''", dag_pp, A, B - (C * A - A * C) * shear, C)]
-    images = {}
-    for name, f, ea, eb, ec in table:
-        for x_name, x, expected in (("A", A, ea), ("B", B, eb), ("C", C, ec)):
-            images[name, x_name] = image = f(x)
-            rb.matrices_equal(f"{name}({x_name})", image, expected)
+    def dagger_expected(k, i):
+        # row k alters gens[(k + 2) % 3]: C, A, B
+        X = gens[i]
+        if i != (k + 2) % 3 or sc.case == "beta=-2":
+            return X
+        if sc.case == "beta=2":
+            return -X
+        Y, Z = gens[(i + 1) % 3], gens[(i + 2) % 3]
+        return X - (Y * Z - Z * Y) * (sc.z * (sc.q - sc.q.inverse())).inverse()
 
+    family("dagger", dag, dagger_expected, all(cyc))
     if sc.case == "beta=-2":
         # dagger' = dagger'' = dagger as maps: their twists are central
-        rb.record("dagger' = dagger as maps", _is_scalar(Pd_P))
-        rb.record("dagger'' = dagger as maps", _is_scalar(P_Pd))
+        P_dag = dag(P)
+        rb.record("dagger' = dagger as maps", _is_scalar(P_dag * P))
+        rb.record("dagger'' = dagger as maps", _is_scalar(P * P_dag))
+    # ddagger sends (A, B, C) to (A, C, B), ddagger' to (C, B, A) and
+    # ddagger'' to (B, A, C)
+    family("ddagger", _dagger_conjugation(dag, w.W, inv.W_inv),
+           lambda k, i: gens[(2 * k - i) % 3], all(cyc) and f13 and f4)
 
-    for name, f, fa, fb, fc in (("ddagger", dd, A, C, B),
-                                ("ddagger'", dd_p, C, B, A),
-                                ("ddagger''", dd_pp, B, A, C)):
-        rb.matrices_equal(f"{name}(A)", f(A), fa)
-        rb.matrices_equal(f"{name}(B)", f(B), fb)
-        rb.matrices_equal(f"{name}(C)", f(C), fc)
-
+    # Below, a True derived verdict short-circuits the dense one.
     # xi^2(X) = M^{-1} X M with M = (T^dagger)^{-1} T; identity iff M central
-    twists = (w.W, inv.W_prime_inv, inv.T)
-    twist_dag_invs = [dag(t_inv) for t_inv in (inv.W_inv, w.W_prime, inv.T_inv)]
-    for name, t, t_dag_inv in zip(("ddagger", "ddagger'", "ddagger''"),
-                                  twists, twist_dag_invs):
-        rb.record(f"{name}^2 = id", _is_scalar(t_dag_inv * t))
-    W_dag_inv, Wp_inv_dag_inv, braid_dag_inv = twist_dag_invs
-
+    for name, t, t_inv in (("ddagger", w.W, inv.W_inv),
+                           ("ddagger'", inv.W_prime_inv, w.W_prime),
+                           ("ddagger''", inv.T, inv.T_inv)):
+        rb.record(f"{name}^2 = id", f1 or _is_scalar(dag(t_inv) * t))
     # Composing the antiautomorphisms with twists T2 then T1 conjugates by
     # M = (T2^dagger)^{-1} T1; rho itself conjugates by P, so each variant
     # must agree with P up to a central factor.
-    comp1 = Wp_inv_dag_inv * w.W
-    comp2 = braid_dag_inv * inv.W_prime_inv
-    comp3 = W_dag_inv * inv.T
-    for name, m in (("rho = ddagger o ddagger'", comp1),
-                    ("rho = ddagger' o ddagger''", comp2),
-                    ("rho = ddagger'' o ddagger", comp3)):
-        rb.record(name, _is_scalar(m * Pinv))
+    rb.record("rho = ddagger o ddagger'",
+              f13 or _is_scalar(dag(w.W_prime) * w.W * Pinv))
+    rb.record("rho = ddagger' o ddagger''",
+              f13 and f4 or _is_scalar(dag(inv.T_inv) * inv.W_prime_inv * Pinv))
+    rb.record("rho = ddagger'' o ddagger",
+              f13 or _is_scalar(dag(inv.W_inv) * inv.T * Pinv))
 
-    # The primed maps are the rho-conjugates of the unprimed ones.  Two
-    # antiautomorphisms agree iff they agree on the generators A and B; rho
-    # (X -> P^-1 X P) cycles A -> B -> C -> A, so the composites take the
-    # dagger images of C, A (for rho o dagger o rho^-1) and of B, C (for
-    # rho^-1 o dagger o rho) from the action table.
-    rho = lambda x: Pinv * x * P
-    rho_inv = lambda x: P * x * Pinv
-    rb.record("dagger' = rho o dagger o rho^-1",
-              rho(images["dagger", "C"]) == images["dagger'", "A"]
-              and rho(images["dagger", "A"]) == images["dagger'", "B"])
-    rb.record("dagger'' = rho^-1 o dagger o rho",
-              rho_inv(images["dagger", "B"]) == images["dagger''", "A"]
-              and rho_inv(images["dagger", "C"]) == images["dagger''", "B"])
+    rb.record("dagger' = rho o dagger o rho^-1", cyc[2] and cyc[0])
+    rb.record("dagger'' = rho^-1 o dagger o rho", cyc[0] and cyc[1])
     # rho o xi_T o rho^-1 twists by P^dagger T P, rho^-1 o xi_T o rho by
     # (P^dagger)^{-1} T P^{-1}; two twists T, T' give the same
     # antiautomorphism iff T T'^{-1} is central.
-    for name, m, t_inv in (
-            ("ddagger' = rho o ddagger o rho^-1", P_dag * w.W * P, w.W_prime),
-            ("ddagger'' = rho^-1 o ddagger o rho",
-             P_dag_inv * w.W * Pinv, inv.T_inv)):
-        rb.record(name, _is_scalar(m * t_inv))
+    rb.record("ddagger' = rho o ddagger o rho^-1",
+              f13 and f4 or _is_scalar(dag(P) * w.W * P * w.W_prime))
+    rb.record("ddagger'' = rho^-1 o ddagger o rho",
+              f13 and f4 or _is_scalar(dag(Pinv) * w.W * Pinv * inv.T_inv))
     return rb.build()
 
 

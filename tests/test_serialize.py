@@ -5,6 +5,7 @@ import pytest
 from tbtridiag.arrays import Family, generate_family
 from tbtridiag.errors import ParseError
 from tbtridiag.fields import QQ, PrimeField, QQi
+from tbtridiag.matrices import Matrix, identity
 from tbtridiag.serialize import (decode_array, decode_system, decode_triple,
                                  dumps, emit_array, emit_system, emit_triple,
                                  loads)
@@ -151,6 +152,24 @@ def test_triple_document_with_a_misshapen_C_is_refused(triple_docs):
     doc = copy.deepcopy(triple_docs["krawtchouk"])
     doc["C"] = doc["C"][:-1]
     with pytest.raises(ParseError, match="shapes"):
+        decode_triple(doc)
+
+
+def test_triple_document_with_a_hand_edited_C_is_refused(triple_docs):
+    # off theta's spectrum C has no idempotents (this once raised
+    # NotAnnihilated); on it, C conjugated moves its idempotents and W''
+    doc = copy.deepcopy(triple_docs["krawtchouk"])
+    doc["C"][0][0] = "1"
+    with pytest.raises(ParseError, match="^stored C is not annihilated"):
+        decode_triple(doc)
+    doc = copy.deepcopy(triple_docs["krawtchouk"])
+    _, tri, _ = decode_triple(doc)
+    fld, n = tri.field, tri.d + 1
+    m = identity(fld, n) + Matrix(fld, [[int((i, j) == (0, 1)) for j in range(n)]
+                                        for i in range(n)])
+    C = m * tri.C * m.inverse()
+    doc["C"] = [[fld.encode(C[i, j]) for j in range(n)] for i in range(n)]
+    with pytest.raises(ParseError, match="^stored W_dprime disagrees"):
         decode_triple(doc)
 
 

@@ -11,7 +11,8 @@ from tbtridiag.errors import (BetaInvalid, NoSquareRootInField, NotSelfDual,
 from tbtridiag.fields import QQ, PrimeField, QQi, parse_field
 from tbtridiag.matrices import (Matrix, diagonal, identity,
                                 primitive_idempotents, spectral_sum)
-from tbtridiag.system import build_system, dagger
+from tbtridiag.report import ReportBuilder
+from tbtridiag.system import build_system, dagger, dagger_map
 from tbtridiag import triple
 from tbtridiag.triple import (LeonardTriple, WData, antiautomorphism_report,
                               antiautomorphisms, braid_check, build_C,
@@ -211,22 +212,6 @@ def test_antiautomorphism_report_generic_case():
     system, tri, w = _triple(QQi(), Family.QRACAH_ODD, 3, q=2)
     report = antiautomorphism_report(system, tri, w)
     assert report.passed, report.failures()
-
-
-def test_rho_conjugate_checks_compare_the_maps(golden1, monkeypatch):
-    # with dagger' and dagger'' swapped, neither is the rho-conjugate of
-    # dagger it should be
-    real = triple._antiautomorphisms
-
-    def swapped(*args):
-        maps = real(*args)
-        return dataclasses.replace(maps, dagger_p=maps.dagger_pp, dagger_pp=maps.dagger_p)
-
-    monkeypatch.setattr(triple, "_antiautomorphisms", swapped)
-    system, tri, w = golden1
-    failed = {c.name for c in antiautomorphism_report(system, tri, w).failures()}
-    assert "dagger' = rho o dagger o rho^-1" in failed
-    assert "dagger'' = rho^-1 o dagger o rho" in failed
 
 
 def test_twists_are_inverse_pairs(golden1, golden_bi4):
@@ -592,3 +577,225 @@ def test_scalars_need_only_the_array():
     assert triple_scalars(arr) == triple_scalars(build_system(arr).array)
     with pytest.raises(NoSquareRootInField, match="Q\\(i\\)"):
         triple_scalars(generate_family(QQ, Family.QRACAH_ODD, 3, q=2))
+
+
+# ---------------------------------------------------------------------------
+# antiautomorphism_report and braid_check against the dense reports they
+# replaced, which form every image, twist and triple product
+# ---------------------------------------------------------------------------
+
+def _dense_braid_check(w):
+    rb = ReportBuilder()
+    a, b, c = w.W, w.W_prime, w.W_dprime
+    rb.matrices_equal("W W' W = W' W W'", a * b * a, b * a * b)
+    rb.matrices_equal("W' W'' W' = W'' W' W''", b * c * b, c * b * c)
+    rb.matrices_equal("W W'' W = W'' W W''", a * c * a, c * a * c)
+    rb.matrices_equal("P = W' W", w.P, b * a)
+    rb.matrices_equal("P = W'' W'", w.P, c * b)
+    rb.matrices_equal("P = W W''", w.P, a * c)
+    return rb.build()
+
+
+def _dense_antiautomorphism_report(sys, tri, w):
+    rb = ReportBuilder()
+    inv = triple.spectral_inverses(tri, w)
+    P, Pinv = w.P, inv.P_inv
+    dag = dagger_map(sys)
+    P_dag, P_dag_inv = dag(P), dag(Pinv)
+    twists = triple._twists(w, inv, P_dag, P_dag_inv)
+    (Pd_P, _), (_, P_Pd), _, _, _ = twists
+    maps = triple._antiautomorphisms(dag, twists)
+    A, B, C = tri.A, tri.B, tri.C
+    sc = tri.scalars
+    dag_p, dag_pp = maps.dagger_p, maps.dagger_pp
+    dd, dd_p, dd_pp = maps.ddagger, maps.ddagger_p, maps.ddagger_pp
+
+    rb.matrices_equal("dagger fixes W", dag(w.W), w.W)
+    rb.matrices_equal("dagger fixes W'", dag(w.W_prime), w.W_prime)
+
+    if sc.case == "beta=2":
+        table = [("dagger", dag, A, B, -C), ("dagger'", dag_p, -A, B, C),
+                 ("dagger''", dag_pp, A, -B, C)]
+    elif sc.case == "beta=-2":
+        table = [("dagger", dag, A, B, C), ("dagger'", dag_p, A, B, C),
+                 ("dagger''", dag_pp, A, B, C)]
+    else:
+        shear = (sc.z * (sc.q - sc.q.inverse())).inverse()
+        table = [("dagger", dag, A, B, C - (A * B - B * A) * shear),
+                 ("dagger'", dag_p, A - (B * C - C * B) * shear, B, C),
+                 ("dagger''", dag_pp, A, B - (C * A - A * C) * shear, C)]
+    images = {}
+    for name, f, ea, eb, ec in table:
+        for x_name, x, expected in (("A", A, ea), ("B", B, eb), ("C", C, ec)):
+            images[name, x_name] = image = f(x)
+            rb.matrices_equal(f"{name}({x_name})", image, expected)
+
+    if sc.case == "beta=-2":
+        rb.record("dagger' = dagger as maps", triple._is_scalar(Pd_P))
+        rb.record("dagger'' = dagger as maps", triple._is_scalar(P_Pd))
+
+    for name, f, fa, fb, fc in (("ddagger", dd, A, C, B),
+                                ("ddagger'", dd_p, C, B, A),
+                                ("ddagger''", dd_pp, B, A, C)):
+        rb.matrices_equal(f"{name}(A)", f(A), fa)
+        rb.matrices_equal(f"{name}(B)", f(B), fb)
+        rb.matrices_equal(f"{name}(C)", f(C), fc)
+
+    twists = (w.W, inv.W_prime_inv, inv.T)
+    twist_dag_invs = [dag(t_inv) for t_inv in (inv.W_inv, w.W_prime, inv.T_inv)]
+    for name, t, t_dag_inv in zip(("ddagger", "ddagger'", "ddagger''"),
+                                  twists, twist_dag_invs):
+        rb.record(f"{name}^2 = id", triple._is_scalar(t_dag_inv * t))
+    W_dag_inv, Wp_inv_dag_inv, braid_dag_inv = twist_dag_invs
+
+    comp1 = Wp_inv_dag_inv * w.W
+    comp2 = braid_dag_inv * inv.W_prime_inv
+    comp3 = W_dag_inv * inv.T
+    for name, m in (("rho = ddagger o ddagger'", comp1),
+                    ("rho = ddagger' o ddagger''", comp2),
+                    ("rho = ddagger'' o ddagger", comp3)):
+        rb.record(name, triple._is_scalar(m * Pinv))
+
+    rho = lambda x: Pinv * x * P
+    rho_inv = lambda x: P * x * Pinv
+    rb.record("dagger' = rho o dagger o rho^-1",
+              rho(images["dagger", "C"]) == images["dagger'", "A"]
+              and rho(images["dagger", "A"]) == images["dagger'", "B"])
+    rb.record("dagger'' = rho^-1 o dagger o rho",
+              rho_inv(images["dagger", "B"]) == images["dagger''", "A"]
+              and rho_inv(images["dagger", "C"]) == images["dagger''", "B"])
+    for name, m, t_inv in (
+            ("ddagger' = rho o ddagger o rho^-1", P_dag * w.W * P, w.W_prime),
+            ("ddagger'' = rho^-1 o ddagger o rho",
+             P_dag_inv * w.W * Pinv, inv.T_inv)):
+        rb.record(name, triple._is_scalar(m * t_inv))
+    return rb.build()
+
+
+def _facts(system, tri, w):
+    """F1-F4 of antiautomorphism_report, formed densely."""
+    dag, P = dagger_map(system), w.P
+    A, B, C = tri.A, tri.B, tri.C
+    return {"F1": dag(w.W) == w.W and dag(w.W_prime) == w.W_prime,
+            "F2": A * P == P * B and B * P == P * C and C * P == P * A,
+            "F3": P == w.W_prime * w.W,
+            "F4": triple._is_scalar(P * P * P)}
+
+
+def _tampered(system, tri, w, m, s, pos):
+    """(name, tri, w): the golden triple, then tamperings of C, W, P, t, W'
+    and of the generators.  m is invertible, s a nonzero scalar and pos an
+    entry of C."""
+    fld, n = tri.field, tri.d + 1
+    m_inv = m.inverse()
+    C = m * tri.C * m_inv
+    conj_C = dataclasses.replace(
+        tri, C=C, E_dprime=primitive_idempotents(C, system.array.theta))
+    W_prime = m * w.W_prime * m_inv
+    bad_t = (w.t[0] + 1,) + w.t[1:]
+    t_W, t_Wp = spectral_sum(tri.E, bad_t), spectral_sum(tri.E_prime, bad_t)
+    entry = Matrix(fld, [[s if (i, j) == pos else 0 for j in range(n)]
+                         for i in range(n)])
+    yield "golden", tri, w
+    yield "C conjugated", conj_C, w
+    yield "C conjugated with its W''", conj_C, spectral_elements(conj_C)
+    yield "W scaled by a diagonal", tri, dataclasses.replace(
+        w, W=diagonal(fld, range(2, n + 2)) * w.W)
+    yield "W scaled", tri, dataclasses.replace(w, W=w.W * s)
+    yield "P scaled by a diagonal", tri, dataclasses.replace(
+        w, P=diagonal(fld, range(2, n + 2)) * w.P)
+    yield "P scaled", tri, dataclasses.replace(w, P=w.P * s)
+    yield "t perturbed", tri, dataclasses.replace(w, t=bad_t)
+    yield "W, W', W'' of a perturbed t", tri, WData(
+        t_W, t_Wp, spectral_sum(tri.E_dprime, bad_t), t_Wp * t_W, bad_t, w.kappa)
+    yield "W' conjugated", tri, dataclasses.replace(w, W_prime=W_prime)
+    yield "W' conjugated, P = W' W", tri, dataclasses.replace(
+        w, W_prime=W_prime, P=W_prime * w.W)
+    yield "C off its diagonal", dataclasses.replace(tri, C=tri.C + entry), w
+    # conjugation by P: rho still cycles them, but dagger and ddagger do not
+    # fix the rotated triple as they fix (A, B, C)
+    yield "generators rotated", dataclasses.replace(tri, A=tri.C, B=tri.A, C=tri.B), w
+
+
+def _invertible(fld, n, data):
+    entries = st.integers(-4, 4).map(fld)
+    if data.draw(st.booleans()):
+        return diagonal(fld, [data.draw(entries.filter(lambda v: not v.is_zero()))
+                              for _ in range(n)])
+    lower = Matrix(fld, [[data.draw(entries) if l < k else int(k == l)
+                          for l in range(n)] for k in range(n)])
+    return lower * lower.transpose()
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_antiautomorphism_report_matches_the_dense_report(golden_triples, data):
+    system, tri, w = golden_triples[data.draw(st.sampled_from(GOLDEN_TRIPLES))]
+    fld, n = tri.field, tri.d + 1
+    m = _invertible(fld, n, data)
+    s = fld(data.draw(st.sampled_from([-3, -1, 2, 5])))
+    pos = (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
+    for name, t, bad in _tampered(system, tri, w, m, s, pos):
+        assert antiautomorphism_report(system, t, bad).to_dict() == \
+            _dense_antiautomorphism_report(system, t, bad).to_dict(), name
+        assert braid_check(bad).to_dict() == _dense_braid_check(bad).to_dict(), name
+
+
+def test_every_fact_and_a_derived_row_fail_in_some_tampering(golden_triples):
+    # the dense fallbacks of the test above are reached: each of F1-F4
+    # fails somewhere, and so do rows derived from a premise that holds
+    failed, derived = set(), set()
+    for system, tri, w in golden_triples.values():
+        fld, n = tri.field, tri.d + 1
+        m = identity(fld, n) + Matrix(fld, [[int(j == i + 1) for j in range(n)]
+                                            for i in range(n)])
+        for name, t, bad in _tampered(system, tri, w, m, fld(2), (0, 0)):
+            report = antiautomorphism_report(system, t, bad)
+            assert report.to_dict() == \
+                _dense_antiautomorphism_report(system, t, bad).to_dict(), name
+            facts = _facts(system, t, bad)
+            failed |= {f for f, holds in facts.items() if not holds}
+            for c in report.failures():
+                row = c.name.split("(")[0]
+                if facts["F2"] and row in ("dagger'", "dagger''"):
+                    derived.add(row)
+                if all(facts.values()) and row in ("ddagger'", "ddagger''"):
+                    derived.add(row)
+    assert failed == {"F1", "F2", "F3", "F4"}
+    assert derived == {"dagger'", "dagger''", "ddagger'", "ddagger''"}
+
+
+def _action_table(tri):
+    """The images of (A, B, C) under each of the six maps, by case."""
+    A, B, C = tri.A, tri.B, tri.C
+    sc = tri.scalars
+    if sc.case == "beta=2":
+        daggers = [(A, B, -C), (-A, B, C), (A, -B, C)]
+    elif sc.case == "beta=-2":
+        daggers = [(A, B, C)] * 3
+    else:
+        shear = (sc.z * (sc.q - sc.q.inverse())).inverse()
+        daggers = [(A, B, C - (A * B - B * A) * shear),
+                   (A - (B * C - C * B) * shear, B, C),
+                   (A, B - (C * A - A * C) * shear, C)]
+    return dict(zip(("dagger", "dagger_p", "dagger_pp", "ddagger", "ddagger_p",
+                     "ddagger_pp"), daggers + [(A, C, B), (C, B, A), (B, A, C)]))
+
+
+@pytest.mark.parametrize("case", GOLDEN_TRIPLES)
+def test_antiautomorphisms_follow_the_action_table(golden_triples, case):
+    system, tri, w = golden_triples[case]
+    maps = antiautomorphisms(system, tri, w)
+    for attr, images in _action_table(tri).items():
+        f = getattr(maps, attr)
+        assert tuple(f(x) for x in (tri.A, tri.B, tri.C)) == images, attr
+
+
+def test_a_passing_report_forms_no_map(golden_triples, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a dense image was formed")
+
+    monkeypatch.setattr(triple, "_antiautomorphisms", refuse)
+    for system, tri, w in golden_triples.values():
+        report = antiautomorphism_report(system, tri, w)
+        assert report.passed, report.failures()

@@ -140,7 +140,7 @@ def cmd_verify(args):
     doc = _read_doc(args.input)
     try:
         if "A" in doc:
-            # the cap comes first: decoding builds every idempotent
+            # the cap comes first: decoding forms every eigenvector
             arr = serialize.system_array(doc)
             _check_cap(arr.d)
             system = serialize.decode_system(doc, arr)

@@ -2,35 +2,23 @@
 
 A matrix is immutable: its field and one tuple of row tuples of the field's
 raw values (a ``Fraction`` over Q, a residue ``int`` over F_p, an ``(a, b)``
-pair over a quadratic extension; see fields.py).  Every operation runs on
-those values: sums, differences, negation and scalar multiples through the
-field's ``_add``, ``_sub``, ``_neg`` and ``_mul``, products through its
-``_matmul`` kernel, each elimination step through its ``_sub_scaled``, and
-equality, hashing, transposition and the zero test on the raw tuples.  All
-operations are exact; equality is entrywise structural equality.  Entries
-are ``FieldElement``s only at the API: ``m[i, j]`` and the ``rows`` view box
-them, and ``Matrix(field, rows)`` coerces its input and unboxes it.
-The module also provides the spectral toolkit used throughout: polynomial
-evaluation at a matrix, ``poly_chain``, the one way the package forms the
-products (x - r_0 I) ... (x - r_{i-1} I) (both halves of each Lagrange
-idempotent, the eigenvalue-factor witness of verify_axioms and the sums of
-sd_isomorphism), primitive idempotents, the dimension of the unital
-algebra generated by a set of matrices, and ``spectral_sum``, the one way
-the package forms a sum t_0 X_0 + ... + t_d X_d (S and the resolutions of
-I and A in system.py, W, W', W'' and their inverses in triple.py): a single
-kernel product.
-
-Primitive idempotents come two ways.  For an irreducible tridiagonal matrix
-each one has rank one, and ``rank_one_idempotents`` builds it from its right
-and left eigenvectors, which the three-term recurrence gives in O(n) each.
-It returns the E_i alone.  For any other matrix ``lagrange_idempotents``
-interpolates densely; it is also the independent reference the tests compare
-the rank-one path with.  ``primitive_idempotents`` picks between the two,
-and it is the only caller of either.  A Lagrange family with no zero E_i
-has rank-one E_i too, since their ranks sum to n.  For any rank-one family
-``rank_one_factors`` reads both eigenvectors back, up to nonzero scalars,
-from row k and column k of each E_i at its first nonzero diagonal entry;
-the recurrence gives both first entry 1, so there k = 0.
+pair over a quadratic extension; see fields.py).  Every operation runs on those
+values through the field's raw kernels (``_add``, ``_sub``, ``_neg``,
+``_mul``, ``_matmul``, ``_sub_scaled``), and equality, hashing, transposition
+and the zero test compare the raw tuples; all are exact.  Entries are
+``FieldElement``s only at the API: ``m[i, j]`` and ``rows`` box them, and
+``Matrix(field, rows)`` coerces its input.  The spectral toolkit:
+``poly_chain``, the one way the package forms (x - r_0 I) ... (x - r_{i-1} I);
+``spectral_sum``, the one way it forms t_0 X_0 + ... + t_d X_d, as a single
+kernel product; primitive idempotents; and the dimension of a generated unital
+algebra.  The idempotents of an irreducible tridiagonal matrix have rank one,
+E_i = u_i w_i^t / N_i, and ``rank_one_idempotents`` keeps them as a
+``RankOneFamily`` of the right and left eigenvectors u_i, w_i (from the
+three-term recurrence on x and x^t, O(n) each, first entry 1) and the norms
+N_i = w_i^t u_i: no dense E_i is formed unless a caller indexes it, and sum
+t_i E_i = U diag(t_i / N_i) W^t is one product.  Any other matrix takes the
+dense ``lagrange_idempotents``, the tests' reference;
+``primitive_idempotents`` picks between the two.
 """
 
 from collections import deque
@@ -208,8 +196,14 @@ def anticommutator(x, y):
 
 
 def spectral_sum(mats, weights):
-    """sum t_i X_i as one product in the field's kernel: the n^2 x k matrix
-    with the entries of X_i in column i, times the column of the t_i."""
+    """sum t_i X_i as one product in the field's kernel: U diag(t_i / N_i) W^t
+    for a RankOneFamily, else the n^2 x k matrix with the entries of X_i in
+    column i, times the column of the t_i."""
+    if isinstance(mats, RankOneFamily):
+        fld, mul = mats.field, mats.field._mul
+        scales = [mul(fld(t).value, fld._inv(N)) for t, N in zip(weights, mats.norms)]
+        cols = [[mul(v, s) for v in u] for u, s in zip(mats.u, scales)]
+        return Matrix.from_raw(fld, fld._matmul(list(zip(*cols)), list(zip(*mats.w))))
     fld, m = mats[0].field, mats[0].ncols
     flat = fld._matmul(list(zip(*([v for row in x.raw for v in row] for x in mats))),
                        [[fld(t).value for t in weights]])
@@ -283,34 +277,57 @@ def _eigenvector(field, diag, below, above_inv, t):
         if k:
             r = sub(r, mul(below[k - 1], u[k - 1]))
         if k == len(above_inv):
-            return u if r == field._zero_raw else None
+            return tuple(u) if r == field._zero_raw else None
         u.append(mul(r, above_inv[k]))
 
 
-def rank_one_idempotents(x, eigenvalues):
-    """Rank-one primitive idempotents of an irreducible tridiagonal x.
+class RankOneFamily:
+    """Rank-one idempotents E_i = u_i w_i^t / N_i, held as their factors: raw
+    vectors u[i], w[i] with w_i^t u_j = 0 for i != j and norms[i] = N_i =
+    w_i^t u_i != 0.  ``family[i]`` forms the dense E_i on each call."""
 
-    For each eigenvalue t_i the three-term recurrence gives the right
-    eigenvector u_i of x and, run on x^t, the left eigenvector w_i, both with
-    first entry 1; then E_i = u_i w_i^t / (w_i^t u_i).  Returns the tuple of
-    the E_i; rank_one_factors reads u_i and w_i back off them.  Returns None
+    __slots__ = ("field", "u", "w", "norms")
+
+    def __init__(self, field, u, w, norms):
+        self.field, self.u, self.w, self.norms = field, u, w, norms
+
+    def __getitem__(self, i):
+        fld = self.field
+        mul, scale = fld._mul, fld._inv(self.norms[i])
+        return Matrix.from_raw(fld, [[mul(a, b) for b in self.w[i]]
+                                     for a in [mul(v, scale) for v in self.u[i]]])
+
+    @classmethod
+    def read_off(cls, idems):
+        """The factors of dense rank-one idempotents: E = u w^t / N has trace 1,
+        so at the first k with E[k, k] != 0, column k, row k and E[k, k] are
+        u, w^t and N up to the factors w_k / N, u_k / N and their product."""
+        fld = idems[0].field
+        ks = [next(k for k, row in enumerate(e.raw) if row[k] != fld._zero_raw)
+              for e in idems]
+        return cls(fld, tuple(tuple(row[k] for row in e.raw) for e, k in zip(idems, ks)),
+                   tuple(e.raw[k] for e, k in zip(idems, ks)),
+                   tuple(e.raw[k][k] for e, k in zip(idems, ks)))
+
+
+def rank_one_idempotents(x, eigenvalues):
+    """Rank-one primitive idempotents of an irreducible tridiagonal x, as the
+    RankOneFamily of the right eigenvectors u_i and the left ones w_i from the
+    three-term recurrence on x and on x^t, both with first entry 1.  None
     unless x is square, irreducible tridiagonal and given one eigenvalue per
     row.  Raises like lagrange_idempotents: DuplicateEigenvalue on repeats,
     NotAnnihilated when some t_i is not an eigenvalue, which for such x is
-    exactly when prod (x - t_i I) != 0.
-    """
+    exactly when prod (x - t_i I) != 0."""
     field = x.field
     thetas = [field(t) for t in eigenvalues]
     n = x.nrows
     if x.ncols != n or len(thetas) != n:
         return None
-    rows = x.raw
-    zero = field._zero_raw
+    rows, zero = x.raw, field._zero_raw
     # nonzero exactly on the sub- and superdiagonal; the diagonal is free
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if i != j and (v != zero) != (abs(i - j) == 1):
-                return None
+    if any(i != j and (v != zero) != (abs(i - j) == 1)
+           for i, row in enumerate(rows) for j, v in enumerate(row)):
+        return None
     if len(set(thetas)) != n:
         raise DuplicateEigenvalue("eigenvalues must be pairwise distinct")
     diag = [rows[k][k] for k in range(n)]
@@ -318,43 +335,17 @@ def rank_one_idempotents(x, eigenvalues):
     above = [rows[k][k + 1] for k in range(n - 1)]
     below_inv = [field._inv(v) for v in below]
     above_inv = [field._inv(v) for v in above]
-    add, mul = field._add, field._mul
-    E = []
-    for t in thetas:
-        u = _eigenvector(field, diag, below, above_inv, t.value)
-        w = _eigenvector(field, diag, above, below_inv, t.value)
-        if u is None or w is None:
-            raise NotAnnihilated("matrix is not annihilated by the eigenvalue factors")
-        norm = zero
-        for a, b in zip(w, u):
-            norm = add(norm, mul(a, b))
-        scale = field._inv(norm)
-        E.append(Matrix.from_raw(field, [[mul(a, b) for b in w]
-                                         for a in [mul(v, scale) for v in u]]))
-    return tuple(E)
-
-
-def rank_one_factors(idems):
-    """(left, right) for rank-one idempotents E_i = u_i w_i^t / (w_i^t u_i).
-
-    A rank-one idempotent has trace 1, so some diagonal entry
-    E_i[k, k] = u_i[k] w_i[k] / (w_i^t u_i) is nonzero; take the first.  Row
-    i of left is row k of E_i, a nonzero multiple of w_i^t, and column i of
-    right is column k of E_i, a nonzero multiple of u_i.  So
-    (left * M * right)[i, j] is a nonzero multiple of w_i^t M u_j, and so
-    is E_i M E_j of u_i w_j^t: one vanishes exactly when the other does.
-    rank_one_idempotents gives u_i and w_i first entry 1, so there k = 0.
-    """
-    field = idems[0].field
-    pairs = [(e.raw, next(k for k, row in enumerate(e.raw) if row[k] != field._zero_raw))
-             for e in idems]
-    return (Matrix.from_raw(field, [raw[k] for raw, k in pairs]),
-            Matrix.from_raw(field, zip(*[[row[k] for row in raw] for raw, k in pairs])))
+    us = tuple(_eigenvector(field, diag, below, above_inv, t.value) for t in thetas)
+    ws = tuple(_eigenvector(field, diag, above, below_inv, t.value) for t in thetas)
+    if None in us or None in ws:
+        raise NotAnnihilated("matrix is not annihilated by the eigenvalue factors")
+    return RankOneFamily(field, us, ws,
+                         tuple(field._matmul([w], [u])[0][0] for u, w in zip(us, ws)))
 
 
 def primitive_idempotents(x, eigenvalues):
-    """rank_one_idempotents when x is irreducible tridiagonal, else
-    lagrange_idempotents; a tuple either way."""
+    """rank_one_idempotents when x is irreducible tridiagonal, else the tuple
+    lagrange_idempotents gives."""
     found = rank_one_idempotents(x, eigenvalues)
     return found if found is not None else tuple(lagrange_idempotents(x, eigenvalues))
 
@@ -366,17 +357,14 @@ def primitive_idempotents(x, eigenvalues):
 # matrix unit e_ii is a polynomial in it, and e_ii g e_jj = g_ij e_ij for
 # every generator g.  The algebra is then spanned by the e_ij with j
 # reachable from i along the edges {i -> j : some g_ij != 0}, counting
-# i -> i, so its dimension is the number of reachable pairs, read off the
-# stored matrices in O(n^2) for banded generators.  This is the path every
-# built or verified TB system takes, whose A* is diagonal.
-#
-# Any other input (a tampered A* that is not diagonal, or has a repeated
-# entry) takes the breadth-first product closure seeded at the identity,
-# with an incremental row-echelon basis: fraction-free over the integers
-# for Q, over the field itself otherwise.  Right-multiplying accepted
-# elements by the generators reaches every word, so the accepted set spans
-# the full unital algebra; the dimension saturates at n^2.  The closure is
-# also the reference the tests compare the reachability count with.
+# i -> i, so its dimension is the number of reachable pairs, O(n^2) for
+# banded generators.  Any other input (an A* that is not diagonal, or has
+# a repeated entry) takes the breadth-first product closure seeded at the
+# identity, with an incremental row-echelon basis: fraction-free over the
+# integers for Q, over the field itself otherwise.  Right-multiplying
+# accepted elements by the generators reaches every word, so the accepted
+# set spans the unital algebra, saturating at n^2.  The closure is also the
+# tests' reference for the reachability count.
 # ---------------------------------------------------------------------------
 
 

@@ -141,11 +141,10 @@ def decode_system(doc, arr=None):
     """Load a system document without enforcing construction identities.
 
     Stored A and A* are taken as-is so that verification can report on
-    hand-edited documents; system() forms the idempotents and leaves those of
-    a non-diagonalizable A unset rather than raising.  The stored
-    intersection numbers and K must be the ones the array gives (ParseError
-    otherwise).  arr is system_array(doc) when the caller has already
-    decoded it.
+    hand-edited documents; system() forms the idempotents, unset for an A
+    its eigenvalue factors do not annihilate.  The stored intersection
+    numbers and K must be the ones the array gives (ParseError otherwise).
+    arr is system_array(doc) when the caller has already decoded it.
     """
     if arr is None:
         arr = system_array(doc)

@@ -1,20 +1,23 @@
 """Totally bipartite tridiagonal systems in the standard basis.
 
-From a validated eigenvalue array this module builds the tridiagonal matrix A
-(zero diagonal, subdiagonal c, superdiagonal b), the diagonal matrix A*, both
-primitive-idempotent families, the symmetrizing diagonal matrix K, and the
-sign involutions S, S*.  Every defining identity can be re-verified
-exhaustively; verification never raises on a mathematical failure but returns
-a report with witnesses, so deliberately mutated inputs can be diagnosed.
+From a validated eigenvalue array this module builds the tridiagonal A (zero
+diagonal, subdiagonal c, superdiagonal b), the diagonal A*, both idempotent
+families, the symmetrizing diagonal K and the sign involutions S, S*.  A is
+irreducible tridiagonal, so its E_i have rank one and are kept as
+eigenvectors (matrices.RankOneFamily), on which build_system and
+verify_axioms decide in O(n^2) field operations.  Verification returns a
+report with witnesses, never raising on a mathematical failure, so mutated
+inputs (an A off the band takes dense Lagrange E_i) can be diagnosed.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .arrays import is_self_dual
 from .errors import (DimensionMismatch, FieldMismatch, NotAnnihilated,
                      NotSelfDual, ZeroDenominator, require)
-from .matrices import (Matrix, algebra_dimension, diagonal, identity,
-                       poly_chain, primitive_idempotents, rank_one_factors,
+from .matrices import (Matrix, RankOneFamily, algebra_dimension, diagonal,
+                       identity, poly_chain, primitive_idempotents,
                        spectral_sum, zeros)
 from .report import ReportBuilder
 
@@ -64,11 +67,10 @@ def intersection_numbers(arr):
 
 @dataclass(frozen=True)
 class TBSystem:
-    """A TB tridiagonal system in the standard basis.
-
-    E may be None for systems loaded from external data whose A is not
-    diagonalizable; verify_axioms reports that instead of raising.
-    """
+    """A TB tridiagonal system in the standard basis.  E is the RankOneFamily
+    of A's right and left eigenvectors when A is irreducible tridiagonal, else
+    the tuple of dense Lagrange E_i, or None when A's eigenvalue factors do
+    not annihilate A, which verify_axioms reports instead of raising."""
 
     array: object
     inters: IntersectionNumbers
@@ -110,11 +112,11 @@ def system(arr, inters, A, A_star, K):
     formed here and nowhere else.
 
     The E*_i are the matrix units, E = primitive_idempotents(A, theta) (None
-    exactly when prod (A - theta_i I) != 0), S = sum (-1)^i E_i by
-    spectral_sum (None with E) and S* = diag((-1)^k), the same sum of the
-    E*_i.  This is the only place S is formed, which involutions_check relies
-    on, and each E_i is then the Lagrange polynomial p_i(A), which the
-    reports rely on.  No identity is checked.
+    when prod (A - theta_i I) != 0), S* = diag((-1)^k) and S = sum (-1)^i E_i
+    (None with E): the exchange matrix J when J u_i = (-1)^i u_i for every
+    u_i, as the two agree on that basis, else by spectral_sum.  The reports
+    rely on S being formed only here and on each E_i being its Lagrange
+    polynomial p_i(A).  No identity is checked.
     """
     fld = arr.field
     n = arr.d + 1
@@ -125,18 +127,25 @@ def system(arr, inters, A, A_star, K):
     except NotAnnihilated:
         E = None
     signs = [fld((-1) ** i) for i in range(n)]
-    return TBSystem(arr, inters, A, A_star, E, E_star, K,
-                    None if E is None else spectral_sum(E, signs), diagonal(fld, signs))
+    J = Matrix.from_raw(fld, identity(fld, n).raw[::-1])
+    S = None if E is None else J if isinstance(E, RankOneFamily) and all(
+        u[::-1] == (u if i % 2 == 0 else tuple(map(fld._neg, u)))
+        for i, u in enumerate(E.u)) else spectral_sum(E, signs)
+    return TBSystem(arr, inters, A, A_star, E, E_star, K, S, diagonal(fld, signs))
 
 
 def build_system(arr):
     """Construct the TB tridiagonal system with eigenvalue array arr.
 
-    All construction identities (idempotent resolution, A^t K = K A, the
-    involution relations) are checked exactly; a failure raises
-    InvariantViolation.  A is irreducible tridiagonal, so the E_i come as
-    rank-one products u_i w_i^t / (w_i^t u_i): E_i^2 = E_i by construction,
-    and E_i E_j = 0 (i != j) reduces to the scalars w_i^t u_j.
+    Every construction identity is decided with no matrix product; a failure
+    raises InvariantViolation.  E_i = u_i w_i^t / N_i, where the recurrence
+    solves A u_i = theta_i u_i and w_i^t A = theta_i w_i^t row by row and
+    checks the last row.  With distinct theta_i, (theta_i - theta_j) w_i^t
+    u_j = 0, so E_i E_j = 0 for i != j, and N_i != 0 gives E_i^2 = E_i; then
+    W^t U = diag(N) makes U diag(N)^-1 W^t = I, which is sum E_i = I, and
+    sum theta_i E_i = A U diag(N)^-1 W^t = A.  A^t K = K A is c_{i+1} k_{i+1}
+    = k_i b_i on the band.  S*^2 = I as S* = diag((-1)^k); S = J has J^2 = I
+    and J S* = (-1)^d S* J, and any other S is checked by products.
     """
     fld = arr.field
     d = arr.d
@@ -144,19 +153,16 @@ def build_system(arr):
     inters = intersection_numbers(arr)
     A = _tridiagonal(fld, inters.c, inters.b, n)
     sys = system(arr, inters, A, diagonal(fld, arr.theta_star), symmetrizer(fld, inters))
-    E, K, S, S_star = sys.E, sys.K, sys.S, sys.S_star
-    require(E is not None, "A is not annihilated by its eigenvalue factors")
-
-    eye = identity(fld, n)
-    left, right = rank_one_factors(E)
-    gram = left * right
-    require(all(gram[i, j].is_zero() for i in range(n) for j in range(n) if i != j),
-            "E_i E_j != 0 for some i != j")
-    require(spectral_sum(E, [fld.one] * n) == eye and spectral_sum(E, arr.theta) == A,
-            "sum E_i != I or sum theta_i E_i != A")
-    require(A.transpose() * K == K * A, "A^t K != K A")
-    require(S * S == eye and S_star * S_star == eye, "S^2 != I or S*^2 != I")
-    require(S * S_star == S_star * S * fld(-1) ** d, "S S* != (-1)^d S* S")
+    S, S_star = sys.S, sys.S_star
+    require(sys.E is not None, "A is not annihilated by its eigenvalue factors")
+    require(len(set(arr.theta)) == n and fld._zero_raw not in sys.E.norms,
+            "E_i E_j != 0, sum E_i != I or sum theta_i E_i != A")
+    mul, rows, k = fld._mul, A.raw, [sys.K.raw[i][i] for i in range(n)]
+    require(all(mul(rows[i + 1][i], k[i + 1]) == mul(k[i], rows[i][i + 1]) for i in range(d)),
+            "A^t K != K A")
+    J = S.raw == identity(fld, n).raw[::-1]
+    require(J or S * S == identity(fld, n), "S^2 != I or S*^2 != I")
+    require(J or S * S_star == S_star * S * fld(-1) ** d, "S S* != (-1)^d S* S")
     return sys
 
 
@@ -179,6 +185,29 @@ def raising_lowering(sys):
     return R, L
 
 
+def _adjacent_expansions(E, A_star):
+    """Whether A* u_j = x_j u_{j-1} + y_j u_{j+1}, x_j, y_j nonzero, for every
+    j (one neighbour at j = 0 and d), for a diagonal A*.  Recurrence vectors
+    have u_j[0] = 1 and u_j[1] = (theta_j - A[0, 0]) / A[0, 1], pairwise
+    distinct, so entries 0 and 1 fix x_j, y_j; all n entries are checked."""
+    fld, raw, us = E.field, A_star.raw, E.u
+    add, sub, mul, zero = fld._add, fld._sub, fld._mul, fld._zero_raw
+    if any(v != zero for i, row in enumerate(raw) for j, v in enumerate(row) if i != j):
+        return False
+    for j, u in enumerate(us):
+        v = [mul(raw[k][k], x) for k, x in enumerate(u)]
+        if 0 < j < len(us) - 1:
+            lo, hi = us[j - 1], us[j + 1]
+            y = mul(sub(v[1], mul(v[0], lo[1])), fld._inv(sub(hi[1], lo[1])))
+            pairs = [(sub(v[0], y), lo), (y, hi)]
+        else:
+            pairs = [(v[0], us[1 if j == 0 else j - 1])]
+        if any(c == zero for c, _ in pairs) or v != [
+                reduce(add, [mul(c, nb[k]) for c, nb in pairs]) for k in range(len(u))]:
+            return False
+    return True
+
+
 def verify_axioms(sys):
     """Re-verify the defining axioms from scratch; returns a report.
 
@@ -187,25 +216,22 @@ def verify_axioms(sys):
     (c) irreducibility of A, (d) A and A* generate the full matrix algebra,
     (e) the zero/nonzero pattern of the powers A^r for 0 <= r <= d.
 
-    The E_i are sys.E, formed once with the system; no idempotent is formed
-    here.  (a) needs no product when they are set: primitive_idempotents
-    leaves them unset exactly when prod (A - theta_i I) != 0 (on the Lagrange
-    path that is the product it tests; an irreducible tridiagonal A is
-    nonderogatory, so its theta_i are all eigenvalues exactly when the
-    product vanishes).  Only an unset E forms the product, for its witness.
-    (b) and (d) with rank-one E_i are decided in the basis of their right
-    eigenvectors u_i: there A is diag(theta), with distinct entries, and A*
-    has the zero pattern of the sandwich scalars w_i^t A* u_j, which
-    rank_one_factors reads off the E_i, so algebra_dimension counts
-    reachable pairs whatever A* is.  The E_i resolve I, so their ranks sum
-    to n, and they all have rank one exactly when none is zero: every
-    recurrence family, and a Lagrange family whenever A's spectrum is all
-    of theta.  A family with a zero E_i scans E_i A* E_j densely, and it
-    and an unset E keep the generators A, A*.  (e) is decided on A alone.
-    A^0 = I always fits.  An A that fits at r = 1 is tridiagonal with
-    nonzero off-diagonal entries, so A^r has bandwidth r and (A^r)[i, i+r],
-    (A^r)[i+r, i] are products of r of those entries, nonzero: every r fits.
-    So (e) has the verdict and witness of the r = 1 scan.
+    No idempotent is formed.  (a) holds exactly when sys.E is set (an
+    irreducible tridiagonal A is nonderogatory); an unset E forms the product
+    for its witness.  (b) and (d) with rank-one E_i = u_i w_i^t / N_i are
+    decided in the basis of the u_i, where A is diag(theta) and A* has the
+    entries w_i^t A* u_j / N_i, zero exactly when E_i A* E_j is.  So the
+    pattern holds iff A* u_j = x_j u_{j-1} + y_j u_{j+1} with x_j, y_j
+    nonzero for every j (_adjacent_expansions, for a diagonal A*); A* there
+    is then nonzero exactly on the path |i - j| = 1, which connects all
+    pairs, and the dimension is n^2.  Otherwise the scalars W^t A* U name the
+    first failing pair in row order and algebra_dimension counts reachable
+    pairs.  The E_i have rank one iff none is zero, as they resolve I: every
+    recurrence family, and a Lagrange one (factors by RankOneFamily.read_off)
+    when A's spectrum is all of theta.  A zero E_i scans E_i A* E_j densely
+    and keeps the generators A, A*, as an unset E does.  (e) is the r = 1
+    scan: A^0 = I fits, and an A that fits at r = 1 has A^r of bandwidth r
+    with outermost entries products of r nonzero off-diagonal entries.
     """
     rb = ReportBuilder()
     fld = sys.field
@@ -230,15 +256,18 @@ def verify_axioms(sys):
                          else f"(A^1)[{i},{j}] = 0"
                          for i, j, nonzero in misfits if i != j), None)
 
+    name = "sandwich pattern: E_i A* E_j"
     if E is None:
-        rb.record("sandwich pattern: E_i A* E_j", False,
-                  "primitive idempotents of A unavailable (not annihilated)")
+        rb.record(name, False, "primitive idempotents of A unavailable (not annihilated)")
+    elif isinstance(E, RankOneFamily) and _adjacent_expansions(E, A_star):
+        rb.record(name, True)
+        generators = None
     else:
-        if not any(e.is_zero() for e in E):
-            # rank-one E_i: E_i A* E_j vanishes iff the scalar w_i^t A* u_j
-            # does, whatever A* is
-            left, right = rank_one_factors(E)
-            scalars = left * (A_star * right)
+        factors = E if isinstance(E, RankOneFamily) else \
+            None if any(e.is_zero() for e in E) else RankOneFamily.read_off(E)
+        if factors is not None:
+            scalars = Matrix.from_raw(fld, factors.w) * (
+                A_star * Matrix.from_raw(fld, zip(*factors.u)))
             vanishes = lambda i, j: scalars.raw[i][j] == zero_raw
             generators = [diagonal(fld, sys.array.theta), scalars]
         else:
@@ -246,13 +275,13 @@ def verify_axioms(sys):
         witness = next((f"E_{i} A* E_{j} = 0" if abs(i - j) == 1 else f"E_{i} A* E_{j} != 0"
                         for i in range(n) for j in range(n)
                         if vanishes(i, j) == (abs(i - j) == 1)), None)
-        rb.record("sandwich pattern: E_i A* E_j", witness is None, witness)
+        rb.record(name, witness is None, witness)
 
     witness = next((f"c_{i} * b_{i - 1} = 0" for i in range(1, n)
                     if A[i, i - 1].is_zero() or A[i - 1, i].is_zero()), None)
     rb.record("irreducible: c_i b_{i-1} != 0", witness is None, witness)
 
-    dim = algebra_dimension(generators, n)
+    dim = n * n if generators is None else algebra_dimension(generators, n)
     rb.record("A, A* generate the full matrix algebra", dim == n * n,
               None if dim == n * n else f"algebra dimension {dim} != {n * n}")
 
@@ -321,20 +350,16 @@ def dagger_report(sys):
     """Check the antiautomorphism: it fixes A, A* and all idempotents, is an
     involution, and reverses products.
 
-    No idempotent is mapped.  dagger(E*_i) = r[i][i] E*_i.  Each E_i is the
-    Lagrange polynomial p_i(A) (system forms it so), and an antiautomorphism
-    that fixes A fixes every p_i(A); A = sum theta_i E_i gives the converse.
-    So "dagger fixes every idempotent" is r[i][i] = 1 for all i and, when the
-    E_i are set, "dagger(A) = A" with the two verdicts below.
-
-    The last two are decided on the matrix units e_ab, which span every
-    matrix.  With r = dagger_ratios(sys), dagger(e_ab) = r[b][a] e_ba, so
-    dagger is an involution iff r[i][j] r[j][i] = 1 for all i <= j, and it
-    reverses every product iff r[i][j] r[j][l] = r[i][l] for all i, j, l
-    (take X = e_lj and Y = e_ji), which reverses_products decides on 2n^2
-    of those products.  The two check names keep the wording of
-    the random spot-check these decisions replace, so reports stay
-    byte-identical; the verdicts now hold for every matrix.
+    No idempotent is mapped.  dagger(E*_i) = r[i][i] E*_i, and an
+    antiautomorphism fixes every E_i = p_i(A) exactly when it fixes A =
+    sum theta_i E_i; so "dagger fixes every idempotent" is r[i][i] = 1 for
+    all i and, when the E_i are set, "dagger(A) = A" with the two verdicts
+    below.  Those are decided on the matrix units, which span every matrix:
+    with r = dagger_ratios(sys), dagger(e_ab) = r[b][a] e_ba, so dagger is an
+    involution iff r[i][j] r[j][i] = 1 for i <= j, and reverses products iff
+    r[i][j] r[j][l] = r[i][l] for all i, j, l (take X = e_lj, Y = e_ji),
+    which reverses_products decides.  The check names keep the wording of
+    the random spot-checks these replaced, so reports stay byte-identical.
     """
     rb = ReportBuilder()
     fld = sys.field
@@ -377,20 +402,14 @@ def involutions_check(sys):
 
     Without the idempotents of A there is no S, and the report is the single
     failed check "involutions".  S E*_i keeps column i of S and E*_{d-i} S
-    keeps row d-i, so "S E*_i = E*_{d-i} S" holds for every i exactly when S
-    is antidiagonal.  S = sum (-1)^i E_i as system forms it, so by
-    distributivity sum (-1)^i (E_i A* + A* E_i) is S A* + A* S, both already
-    formed for "S A* = -A* S".
-
-    Each E_i is the Lagrange polynomial p_i(A), and theta is antisymmetric,
-    so p_i(-x) = p_{d-i}(x).  Given S*^2 = I and S* A = -A S*, then
-    S* E_i S* = p_i(-A) = E_{d-i}; conversely summing theta_i S* E_i gives
-    S* A = -A S*.  So "S* E_i = E_{d-i} S*" is those two verdicts.
-
-    The reversed-dual relative needs no array of its own: theta* is
-    antisymmetric, so reversing it negates it, and c_i, b_i are of degree 0
-    in theta*.  Its A is the system's tridiagonal(c, b) and its A* is
-    diag(theta* reversed).
+    row d-i, so "S E*_i = E*_{d-i} S" for every i is "S is antidiagonal".
+    S = sum (-1)^i E_i as system forms it, so sum (-1)^i (E_i A* + A* E_i)
+    is S A* + A* S, both formed for "S A* = -A* S".  theta is antisymmetric,
+    so p_i(-x) = p_{d-i}(x): given S*^2 = I and S* A = -A S*, S* E_i S* =
+    p_i(-A) = E_{d-i}, and summing theta_i S* E_i gives the converse; so
+    "S* E_i = E_{d-i} S*" is those two verdicts.  The reversed-dual relative
+    needs no array: theta* is antisymmetric and c_i, b_i are of degree 0 in
+    theta*, so its A is tridiagonal(c, b) and its A* is diag(theta* reversed).
     """
     rb = ReportBuilder()
     if sys.E is None:
@@ -426,19 +445,13 @@ def sd_isomorphism(sys):
     """
     if not is_self_dual(sys.array):
         raise NotSelfDual("sd_isomorphism needs theta == theta_star")
-    fld = sys.field
-    d = sys.d
-    n = d + 1
+    fld, d, n = sys.field, sys.d, sys.d + 1
     theta, theta_star = sys.array.theta, sys.array.theta_star
     A, B = sys.A, sys.A_star
     tau, eta = poly_chain(A, theta), poly_chain(A, theta[::-1])
     tau_s, eta_s = poly_chain(B, theta_star), poly_chain(B, theta_star[::-1])
-
-    e0_esd = sys.E_star[0] * sys.E[d]
-    e0s_ed = sys.E[0] * sys.E_star[d]
-    ed_es0 = sys.E[d] * sys.E_star[0]
-    esd_e0 = sys.E_star[d] * sys.E[0]
-
+    (E0, Ed), (Es0, Esd) = (sys.E[0], sys.E[d]), (sys.E_star[0], sys.E_star[d])
+    e0_esd, e0s_ed, ed_es0, esd_e0 = Es0 * Ed, E0 * Esd, Ed * Es0, Esd * E0
     sums = [zeros(fld, n) for _ in range(4)]
     for i in range(n):
         sums[0] = sums[0] + eta[d - i] * e0_esd * tau_s[i]

@@ -9,13 +9,12 @@ rho, sigma an action of the modular group PSL2(Z) (compare Curtin, "Modular
 Leonard triples", LAA 424, 2007).  What carries through these maps is decided
 on A, B, C, W, W' and P; a dense image is formed only where such a fact fails.
 
-No report inverts a matrix by elimination.  Every inverse follows from the
-spectral data: W^{-1} = sum t_i^{-1} E_i, W'^{-1} = sum t_i^{-1} E'_i and,
-since P^3 = kappa I, P^{-1} = kappa^{-1} P^2, each certified by one product
-against I; then T^{-1} = (W W' W)^{-1} = W^{-1} W'^{-1} W^{-1} and
-(X^dagger)^{-1} = (X^{-1})^dagger need no certificate.  Gauss-Jordan
-(``Matrix.inverse``) is only the fallback for data that fails a certificate,
-such as a hand-built WData with a false kappa, so the reports and their
+No report inverts a matrix by elimination: W^{-1} = sum t_i^{-1} E_i (one
+product of eigenvector factors, as W and W'' are), W'^{-1} =
+sum t_i^{-1} E'_i and P^{-1} = kappa^{-1} P^2 are each certified by one
+product against I, and T^{-1} = W^{-1} W'^{-1} W^{-1} and (X^dagger)^{-1} =
+(X^{-1})^dagger follow.  Gauss-Jordan is the fallback for data that fails a
+certificate, such as a hand-built WData with a false kappa, so reports and
 Singular raises are those of dense inversion.
 """
 
@@ -166,7 +165,7 @@ def build_C(sys, sc):
     require(B == diagonal(fld, theta), "A* != diag(theta)")
     # C is tridiagonal with zero diagonal, like A
     E_dprime = primitive_idempotents(C, theta)
-    return LeonardTriple(A, B, C, tuple(sys.E), sys.E_star, E_dprime, sc)
+    return LeonardTriple(A, B, C, sys.E, sys.E_star, E_dprime, sc)
 
 
 def _weights(sc, d):
@@ -349,8 +348,9 @@ def antiautomorphism_report(sys, tri, w, inv=None):
     - Under F1 each ddagger twist t has (t^dagger)^-1 t = I: "^2 = id" holds.
     - Under F1 and F3 the composites M P^-1 are I, P^-3 and I, and the
       ddagger' and ddagger'' rho-checks test (W W')^3 = W P^3 W^-1 and its
-      inverse, so all four follow F4.  With F4, ddagger' and ddagger'' are
-      those rho-conjugates of ddagger, so under F2 their rows follow its row.
+      inverse, so all four follow F4.  ddagger' and ddagger'' are the
+      rho-conjugates of ddagger followed by conjugation with P^3 and P^-3,
+      which fixes A, B, C under F2; so under F1-F3 their rows follow its row.
     A failed premise or a False derived verdict forms the dense image, so
     verdicts and witnesses are those of the dense report.
     """
@@ -403,7 +403,7 @@ def antiautomorphism_report(sys, tri, w, inv=None):
     # ddagger sends (A, B, C) to (A, C, B), ddagger' to (C, B, A) and
     # ddagger'' to (B, A, C)
     family("ddagger", _dagger_conjugation(dag, w.W, inv.W_inv),
-           lambda k, i: gens[(2 * k - i) % 3], all(cyc) and f13 and f4)
+           lambda k, i: gens[(2 * k - i) % 3], all(cyc) and f13)
 
     # Below, a True derived verdict short-circuits the dense one.
     # xi^2(X) = M^{-1} X M with M = (T^dagger)^{-1} T; identity iff M central
@@ -437,14 +437,12 @@ def sigma_and_psl2z(sys, tri, w, inv=None):
     """The order-2 automorphism sigma and the modular-group action.
 
     sigma conjugates by T = W W' W and swaps A, B while sending C to its
-    dagger image.  Each family is the Lagrange polynomials p_i of A, B or C
-    (build_C and decode_triple form them so), and the automorphism rho has
-    rho(p_i(X)) = p_i(rho(X)), while X = sum theta_i p_i(X); so rho cycles
-    the families exactly when it cycles A -> B -> C -> A.  rho^3 and
-    sigma^2 are checked on every matrix unit as "P^3 and T^2 are central",
-    and the words in the two generators agree with their r^3 = s^2 = 1
-    normal forms exactly when both are.  inv is spectral_inverses(tri, w)
-    when the caller has formed it already.
+    dagger image.  Each family is the Lagrange polynomials p_i of A, B or C,
+    rho(p_i(X)) = p_i(rho(X)) and X = sum theta_i p_i(X); so rho cycles the
+    families exactly when it cycles A -> B -> C -> A.  rho^3 and sigma^2 are
+    checked on every matrix unit as "P^3 and T^2 are central", and the words
+    in r and s agree with their r^3 = s^2 = 1 normal forms exactly when both
+    are.  inv is spectral_inverses(tri, w) if the caller has formed it.
     """
     rb = ReportBuilder()
     if inv is None:

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from tbtridiag.arrays import Family, generate_family
 from tbtridiag.errors import (DimensionMismatch, DuplicateEigenvalue,
                               NotAnnihilated, Singular)
-from tbtridiag.fields import (QQ, PrimeField, QQi, QuadraticExtension,
-                              RationalField, parse_field)
+from tbtridiag.fields import (QQ, FieldElement, PrimeField, QQi,
+                              QuadraticExtension, RationalField, parse_field)
 from tbtridiag.matrices import (Matrix, _closure_rank, _ExactIntEchelon,
                                 _FieldEchelon, algebra_dimension,
                                 anticommutator, column, commutator, diagonal,
                                 identity, lagrange_idempotents, poly_chain,
-                                poly_eval, primitive_idempotents, rank_one_factors,
+                                poly_eval, primitive_idempotents, RankOneFamily,
                                 rank_one_idempotents, spectral_sum, zeros)
 from tbtridiag.system import (build_system, dagger, is_antidiagonal,
                               reverses_products)
@@ -220,18 +220,24 @@ def test_rank_one_idempotents_equal_lagrange(spec):
 
 
 def test_rank_one_factors_rebuild_the_idempotents():
-    # row 0 of E_i is w_i^t / N_i and column 0 is u_i / N_i, N_i = w_i^t u_i,
-    # so E_i = (column 0)(row 0) / E_i[0, 0] with E_i[0, 0] = 1 / N_i
-    es = rank_one_idempotents(KRAW_A, KRAW_THETA)
-    left, right = rank_one_factors(es)
-    gram = left * right
+    # the family holds u_i and w_i with first entry 1 and N_i = w_i^t u_i:
+    # W^t U = diag(N), u_i w_i^t / N_i is the Lagrange E_i, and the one
+    # product U diag(t_i / N_i) W^t is the dense sum t_i E_i
+    fam = rank_one_idempotents(KRAW_A, KRAW_THETA)
+    es = lagrange_idempotents(KRAW_A, KRAW_THETA)
+    right, left = Matrix.from_raw(QQ, zip(*fam.u)), Matrix.from_raw(QQ, fam.w)
+    norms = [QQ(v) for v in fam.norms]
+    assert left * right == diagonal(QQ, norms)
+    assert KRAW_A * right == right * diagonal(QQ, KRAW_THETA)
+    assert left * KRAW_A == diagonal(QQ, KRAW_THETA) * left
     for i, e in enumerate(es):
         u = Matrix(QQ, [[right[k, i]] for k in range(4)])
         w = Matrix(QQ, [list(left.rows[i])])
-        assert u == Matrix(QQ, [[e[k, 0]] for k in range(4)])
-        assert e == u * w * e[0, 0].inverse()
-        assert gram[i, i] == e[0, 0]
-        assert all(gram[i, j].is_zero() for j in range(4) if j != i)
+        assert u[0, 0] == w[0, 0] == QQ.one
+        assert e == u * w * norms[i].inverse() == fam[i]
+    assert list(fam) == es
+    weights = [QQ(2), QQ(-1), QQ(Fraction(5, 3)), QQ(0)]
+    assert spectral_sum(fam, weights) == spectral_sum(es, weights)
 
 
 def test_rank_one_idempotents_need_an_irreducible_tridiagonal():
@@ -244,8 +250,9 @@ def test_rank_one_idempotents_need_an_irreducible_tridiagonal():
 
 
 def test_primitive_idempotents_pick_the_path():
-    assert primitive_idempotents(KRAW_A, KRAW_THETA) \
-        == rank_one_idempotents(KRAW_A, KRAW_THETA)
+    found = primitive_idempotents(KRAW_A, KRAW_THETA)
+    assert isinstance(found, RankOneFamily)
+    assert list(found) == list(rank_one_idempotents(KRAW_A, KRAW_THETA))
     x = diagonal(QQ, [5, 7, 11])
     assert primitive_idempotents(x, [5, 7, 11]) == tuple(lagrange_idempotents(x, [5, 7, 11]))
 
@@ -678,30 +685,48 @@ def test_extension_kernels_match_the_coordinate_formula(spec, data):
 
 
 @st.composite
-def _rank_one_idempotents(draw, fld, n):
-    """E = u w^t / (w^t u) with u[0] = w[0] = 1, as rank_one_idempotents forms
-    them; w = e_0 where w^t u vanishes.  Built on boxed entries."""
-    u = [fld.one] + [draw(_elements(fld)) for _ in range(n - 1)]
-    w = [fld.one] + [draw(_elements(fld)) for _ in range(n - 1)]
-    norm = _boxed_dot(w, u)
-    if norm.is_zero():
-        w, norm = [fld.one] + [fld.zero] * (n - 1), fld.one
-    return Matrix(fld, [[a * b / norm for b in w] for a in u])
+def _rank_one_families(draw, fld, n):
+    """RankOneFamily factors u_i, w_i with first entry 1, as the recurrence
+    gives them; w_i = e_0 where w_i^t u_i vanishes.  Built on boxed entries."""
+    us, ws, norms = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        u = [fld.one] + [draw(_elements(fld)) for _ in range(n - 1)]
+        w = [fld.one] + [draw(_elements(fld)) for _ in range(n - 1)]
+        norm = _boxed_dot(w, u)
+        if norm.is_zero():
+            w, norm = [fld.one] + [fld.zero] * (n - 1), fld.one
+        us.append(tuple(v.value for v in u))
+        ws.append(tuple(v.value for v in w))
+        norms.append(norm.value)
+    return RankOneFamily(fld, tuple(us), tuple(ws), tuple(norms))
+
+
+def _sandwich_scalars(fam, m):
+    """W^t M U, whose (i, j) entry is w_i^t M u_j."""
+    return Matrix.from_raw(fam.field, fam.w) * m * Matrix.from_raw(fam.field, zip(*fam.u))
 
 
 @pytest.mark.parametrize("spec", KERNEL_FIELDS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_rank_one_factors_decide_sandwiches(spec, data):
+    # E_i = u_i w_i^t / N_i on boxed entries is what indexing the family
+    # forms; E_i M E_j vanishes exactly when w_i^t M u_j does, and the
+    # factor product is the dense spectral sum
     fld = parse_field(spec)
     n = data.draw(st.integers(1, 5))
-    idems = [data.draw(_rank_one_idempotents(fld, n)) for _ in range(data.draw(st.integers(1, 3)))]
+    fam = data.draw(_rank_one_families(fld, n))
+    box = lambda v: FieldElement(fld, v)
+    idems = [Matrix(fld, [[box(a) * box(b) / box(norm) for b in w] for a in u])
+             for u, w, norm in zip(fam.u, fam.w, fam.norms)]
+    assert list(fam) == idems
     m = data.draw(_matrices(fld, n, n))
-    left, right = rank_one_factors(idems)
-    scalars = left * m * right
+    scalars = _sandwich_scalars(fam, m)
     for i, ei in enumerate(idems):
         for j, ej in enumerate(idems):
             assert scalars[i, j].is_zero() == _boxed_mul(_boxed_mul(ei, m), ej).is_zero()
+    weights = [data.draw(_elements(fld)) for _ in idems]
+    assert spectral_sum(fam, weights) == spectral_sum(idems, weights)
 
 
 @st.composite
@@ -723,18 +748,20 @@ def _any_rank_one_idempotents(draw, fld, n):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_rank_one_factors_decide_sandwiches_off_the_first_row(spec, data):
-    # the factors come from row and column k at the first nonzero diagonal
-    # entry, which a rank-one idempotent has: its trace is 1
+    # read_off takes the factors from row and column k at the first nonzero
+    # diagonal entry, which a rank-one idempotent has: its trace is 1; they
+    # rebuild each E_i and decide its sandwiches
     fld = parse_field(spec)
     n = data.draw(st.integers(1, 5))
     idems = [data.draw(_any_rank_one_idempotents(fld, n))
              for _ in range(data.draw(st.integers(1, 3)))]
     m = data.draw(_matrices(fld, n, n))
-    left, right = rank_one_factors(idems)
-    scalars = left * m * right
+    fam = RankOneFamily.read_off(idems)
+    assert list(fam) == idems
+    scalars = _sandwich_scalars(fam, m)
     for i, ei in enumerate(idems):
         k = next(k for k in range(n) if not ei[k, k].is_zero())
-        assert left.rows[i] == ei.rows[k]
-        assert [right[l, i] for l in range(n)] == [ei[l, k] for l in range(n)]
+        assert fam.w[i] == ei.raw[k]
+        assert list(fam.u[i]) == [ei.raw[l][k] for l in range(n)]
         for j, ej in enumerate(idems):
             assert scalars[i, j].is_zero() == _boxed_mul(_boxed_mul(ei, m), ej).is_zero()

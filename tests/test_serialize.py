@@ -45,7 +45,7 @@ def test_system_round_trip():
         assert back.A == system.A and back.A_star == system.A_star
         assert back.K == system.K
         assert back.inters == system.inters
-        assert back.E == system.E and back.S == system.S
+        assert list(back.E) == list(system.E) and back.S == system.S
         assert emit_system(back) == doc
 
 

@@ -14,11 +14,12 @@ from tbtridiag import system
 from tbtridiag.arrays import (AskeyWilsonSeq, Family, aw_sequence,
                               aw_sequence_nonzero, generate_family, relatives,
                               validate_array)
-from tbtridiag.errors import NotSelfDual
+from tbtridiag.errors import NotAnnihilated, NotSelfDual
 from tbtridiag.fields import QQ, RationalField, parse_field
-from tbtridiag.matrices import (Matrix, _closure_rank, _ExactIntEchelon,
-                                _FieldEchelon, column, diagonal, identity,
-                                lagrange_idempotents, zeros)
+from tbtridiag.matrices import (Matrix, RankOneFamily, _closure_rank,
+                                _ExactIntEchelon, _FieldEchelon,
+                                algebra_dimension, column, diagonal, identity,
+                                lagrange_idempotents, spectral_sum, zeros)
 from tbtridiag.system import (build_system, dagger, dagger_report,
                               intersection_numbers, involutions_check,
                               isomorphic, raising_lowering, sd_isomorphism,
@@ -360,7 +361,7 @@ def _idempotent_loops(s):
     rb = ReportBuilder()
     rb.matrix_zero(EIGEN_FACTORS, prod)
     dag = system.dagger_map(s)
-    fixes = all(dag(e) == e for e in s.E_star + (s.E or ()))
+    fixes = all(dag(e) == e for e in s.E_star + tuple(s.E or ()))
     twist = None if s.E is None else all(s.S_star * s.E[i] == s.E[s.d - i] * s.S_star
                                          for i in range(n))
     return rb.build().checks[0], fixes, twist
@@ -606,14 +607,24 @@ def test_verify_of_a_system_document_forms_the_idempotents_once(
         capsys, tmp_path, monkeypatch, spec, off_band):
     from tbtridiag.cli import main
 
+    # each eigenvector comes from the recurrence once, Lagrange runs only
+    # off the band, and on it no dense E_i and no spectral sum is formed
+    from tbtridiag.matrices import RankOneFamily
+
     doc = _krawtchouk_doc(parse_field(spec), off_band)
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(doc))
-    calls = _counting(monkeypatch, ("rank_one_idempotents", "lagrange_idempotents"))
+    calls = _counting(monkeypatch, ("_eigenvector", "lagrange_idempotents", "spectral_sum"))
+
+    def refuse(*args):
+        raise AssertionError("a dense E_i was formed from the eigenvectors")
+
+    monkeypatch.setattr(RankOneFamily, "__getitem__", refuse)
     code = main(["verify", "-i", str(path)])
     capsys.readouterr()
     assert code == (1 if off_band else 0)
-    assert calls == {"rank_one_idempotents": 1, "lagrange_idempotents": int(off_band)}
+    assert calls == {"_eigenvector": 0 if off_band else 2 * 5,
+                     "lagrange_idempotents": int(off_band), "spectral_sum": int(off_band)}
 
 
 def test_verify_axioms_forms_no_idempotent(k3, monkeypatch):
@@ -799,12 +810,150 @@ def test_a_family_with_a_zero_idempotent_keeps_the_dense_scan(k3, a_star_entry, 
     assert _sandwich_check(s) == _dense_sandwich(s) == (False, "E_0 A* E_0 != 0")
 
 
+def _dense_factors(E):
+    """Row k and column k of each rank-one E_i at its first nonzero diagonal
+    entry, as the left and right factor matrices; the read-off that
+    verify_axioms made before the eigenvectors were kept."""
+    fld = E[0].field
+    ks = [next(k for k in range(e.nrows) if e.raw[k][k] != fld._zero_raw) for e in E]
+    return (Matrix.from_raw(fld, [e.raw[k] for e, k in zip(E, ks)]),
+            Matrix.from_raw(fld, zip(*[[row[k] for row in e.raw] for e, k in zip(E, ks)])))
+
+
+@pytest.mark.parametrize("spec", CLI_FIELDS)
+def test_build_system_decisions_match_the_dense_products(spec):
+    # build_system decides the construction from the eigenvectors; the oracle
+    # is the dense Lagrange E_i, their Gram product, both spectral-sum
+    # resolutions and the products on A, K, S and S*
+    fld = parse_field(spec)
+    for family, d, kwargs in LEMMA_FAMILIES:
+        s = build_system(generate_family(fld, family, d, **kwargs))
+        n, theta = d + 1, s.array.theta
+        E = lagrange_idempotents(s.A, theta)
+        assert isinstance(s.E, RankOneFamily) and list(s.E) == E, (family, d)
+        left, right = _dense_factors(E)
+        gram = left * right
+        assert all(gram[i, j].is_zero() == (i != j) for i in range(n) for j in range(n))
+        eye = identity(fld, n)
+        assert spectral_sum(E, [1] * n) == eye and spectral_sum(E, theta) == s.A
+        assert s.A.transpose() * s.K == s.K * s.A
+        signs = [(-1) ** i for i in range(n)]
+        assert s.S == spectral_sum(E, signs) == Matrix(fld, eye.rows[::-1])
+        assert s.S * s.S == eye == s.S_star * s.S_star
+        assert s.S * s.S_star == s.S_star * s.S * (-1) ** d
+
+
+SANDWICH = "sandwich pattern: E_i A* E_j"
+
+
+def _dense_oracles(s):
+    """S and the sandwich and full-algebra checks from the dense Lagrange E_i,
+    as system and verify_axioms formed them before the eigenvector decisions:
+    S by the signed spectral sum, the sandwich scalars left * (A* * right)
+    and algebra_dimension of [diag(theta), scalars].  None when A is not
+    annihilated; the two checks are None for a family with a zero E_i."""
+    fld, n, theta = s.field, s.d + 1, s.array.theta
+    try:
+        E = lagrange_idempotents(s.A, theta)
+    except NotAnnihilated:
+        return None
+    S = spectral_sum(E, [(-1) ** i for i in range(n)])
+    if any(e.is_zero() for e in E):
+        return S, None, None
+    left, right = _dense_factors(E)
+    scalars = left * (s.A_star * right)
+    witness = next((f"E_{i} A* E_{j} = 0" if abs(i - j) == 1 else f"E_{i} A* E_{j} != 0"
+                    for i in range(n) for j in range(n)
+                    if scalars[i, j].is_zero() == (abs(i - j) == 1)), None)
+    dim = algebra_dimension([diagonal(fld, theta), scalars], n)
+    return (S, CheckResult(SANDWICH, witness is None, witness),
+            CheckResult(FULL_ALGEBRA, dim == n * n,
+                        None if dim == n * n else f"algebra dimension {dim} != {n * n}"))
+
+
+def _tamper(doc, fld, kind, data):
+    """doc with one tampering of the given kind, its values drawn."""
+    n = len(doc["A"])
+    index = st.integers(0, n - 1)
+    value = lambda: fld.encode(fld(data.draw(st.integers(-3, 3).filter(bool))))
+    if kind == "A off the band":
+        i = data.draw(index)
+        j = data.draw(index.filter(lambda j: abs(i - j) > 1))
+        doc["A"][i][j] = value()
+    elif kind == "A onto the Lagrange path":
+        return _conjugated_doc(doc, fld, 0, 2, fld.one)
+    elif kind == "A diagonally conjugated":
+        # D A D^-1 stays tridiagonal with A's spectrum, and its eigenvectors
+        # are the D u_i; J D u_i = (J D J) J u_i, so the J test holds exactly
+        # when J D J = D, which D[0] = 1 != D[d] breaks
+        D = [fld.one] + [fld(data.draw(st.integers(1, 4))) for _ in range(n - 2)]
+        D.append(fld(data.draw(st.integers(2, 4))))
+        A = [[fld.parse(v) for v in row] for row in doc["A"]]
+        doc["A"] = [[fld.encode(D[i] * A[i][j] / D[j]) for j in range(n)] for i in range(n)]
+    elif kind == "A* off the diagonal":
+        i = data.draw(index)
+        doc["A_star"][i][data.draw(index.filter(lambda j: j != i))] = value()
+    elif kind == "A* on the diagonal":
+        i = data.draw(index)
+        doc["A_star"][i][i] = fld.encode(fld.parse(doc["A_star"][i][i]) + fld.parse(value()))
+    elif kind == "A* scaled":
+        # by 0 every coefficient x_j, y_j vanishes; by a unit none does
+        c = fld(data.draw(st.sampled_from([0, -1, 2])))
+        doc["A_star"] = [[fld.encode(fld.parse(v) * c) for v in row] for row in doc["A_star"]]
+    elif kind == "zeroed b_i":
+        i = data.draw(st.integers(0, n - 2))
+        doc["A"][i][i + 1] = "0"
+    return doc
+
+
+TAMPERINGS = ["none", "A off the band", "A onto the Lagrange path", "A diagonally conjugated",
+              "A* off the diagonal", "A* on the diagonal", "A* scaled", "zeroed b_i"]
+
+
+@pytest.fixture(scope="module")
+def tamper_docs():
+    return {spec: [emit_system(build_system(generate_family(parse_field(spec), family, d,
+                                                            **kwargs)))
+                   for family, d, kwargs in ((Family.KRAWTCHOUK, 3, {"h_star": 2}),
+                                             (Family.BANNAI_ITO, 4, {}),
+                                             (Family.QRACAH_ODD, 3, {"q": 2}))]
+            for spec in ORACLE_FIELDS}
+
+
+@pytest.mark.parametrize("kind", TAMPERINGS)
+@pytest.mark.parametrize("spec", ORACLE_FIELDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_eigenvector_decisions_match_the_dense_oracles(tamper_docs, spec, kind, data):
+    # S from the J test or the factor sum, and the sandwich and full-algebra
+    # checks from the three-term test or the factor scalars, are those of
+    # the dense E_i on built systems and on each tampering
+    fld = parse_field(spec)
+    doc = _tamper(json.loads(json.dumps(data.draw(st.sampled_from(tamper_docs[spec])))),
+                  fld, kind, data)
+    s = decode_system(doc)
+    oracle = _dense_oracles(s)
+    if oracle is None:
+        assert s.E is None and s.S is None
+        return
+    on_band = kind not in ("A off the band", "A onto the Lagrange path", "zeroed b_i")
+    assert isinstance(s.E, RankOneFamily) == on_band
+    S, sandwich, full = oracle
+    assert s.S == S
+    if kind in ("none", "A diagonally conjugated"):
+        assert (s.S == Matrix(fld, identity(fld, s.d + 1).rows[::-1])) == (kind == "none")
+    if sandwich is not None:
+        checks = {c.name: c for c in verify_axioms(s)}
+        assert (checks[SANDWICH], checks[FULL_ALGEBRA]) == (sandwich, full)
+
+
 _CORRUPTED_BUILD = """
 import sys
 from tbtridiag import system
 from tbtridiag.arrays import Family, generate_family
 from tbtridiag.errors import InvariantViolation
 from tbtridiag.fields import QQ
+from tbtridiag.matrices import RankOneFamily
 
 if __debug__:
     sys.exit("assertions are on")
@@ -812,8 +961,10 @@ real = system.primitive_idempotents
 
 
 def swapped(x, eigenvalues):
+    # E_0 and E_1 trade places: each keeps its eigenvectors and norm
     E = real(x, eigenvalues)
-    return (E[1], E[0]) + E[2:]
+    swap = lambda seq: (seq[1], seq[0]) + seq[2:]
+    return RankOneFamily(E.field, swap(E.u), swap(E.w), swap(E.norms))
 
 
 system.primitive_idempotents = swapped
@@ -827,13 +978,16 @@ else:
 
 
 def test_construction_invariants_hold_under_python_O():
-    # python -O strips assert statements; the construction checks must stay
+    # python -O strips assert statements; the construction checks must stay.
+    # The swapped family fails the J test, so S is the spectral sum
+    # E_1 - E_0 + E_2 - E_3; S* E_i S* = E_{3-i} fixes it, so it commutes
+    # with S* where the d = 3 relation needs S S* = -S* S
     src = os.path.dirname(os.path.dirname(os.path.abspath(tbtridiag.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_BUILD], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "sum theta_i E_i != A" in done.stdout
+    assert "S S* != (-1)^d S* S" in done.stdout
 
 
 def test_nearest_neighbour_products_are_independent(k3):

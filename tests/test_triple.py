@@ -799,3 +799,47 @@ def test_a_passing_report_forms_no_map(golden_triples, monkeypatch):
     for system, tri, w in golden_triples.values():
         report = antiautomorphism_report(system, tri, w)
         assert report.passed, report.failures()
+
+
+def _f4_free_triple(passing):
+    """A hand-built (system, triple, WData) over Q at n = 3 on which F1-F3
+    hold and P^3 is not scalar.  dagger is the transpose (K = I); W is
+    symmetric with W P = P^t W, so W' = P W^-1 is symmetric and P = W' W.
+    A commutes with P^3, and B = P^-1 A P, C = P^-1 B P, so F2 holds and
+    A, B, C generate a proper subalgebra.  The ddagger row passes with the
+    first A and fails with the second."""
+    system = dataclasses.replace(build_system(generate_family(QQ, Family.KRAWTCHOUK, 2)),
+                                 K=identity(QQ, 3))
+    P = Matrix(QQ, [[1, -3, 3], [1, -2, 4], [0, 0, 2]])
+    W = Matrix(QQ, [[-2, 3, -3], [3, -3, 3], [-3, 3, -2]])
+    A = Matrix(QQ, [[10, -6, 6], [6, 0, 6], [0, 0, 6]] if passing
+               else [[1, 2, -2], [0, 1, 4], [0, 0, 5]])
+    B = P.inverse() * A * P
+    scalars = triple.TripleScalars(QQ(2), QQ(1), QQ(1), QQ(1))
+    tri = LeonardTriple(A, B, P.inverse() * B * P, (), (), (), scalars)
+    # zero weights and kappa: the spectral inverses fall back to Gauss-Jordan
+    w = WData(W, P * W.inverse(), W.inverse() * P, P, (QQ(0),) * 3, QQ(0))
+    return system, tri, w
+
+
+@pytest.mark.parametrize("passing", [True, False])
+def test_ddagger_rows_follow_without_a_scalar_P_cubed(passing):
+    # Under F1 and F3, ddagger'(X) = P^3 (rho o ddagger o rho^-1)(X) P^-3 and
+    # ddagger''(X) = P^-3 (rho^-1 o ddagger o rho)(X) P^3, and under F2 P^3
+    # commutes with A, B and C; ddagger(B) = C holds exactly when
+    # ddagger(A) = A does, as the two differ by conjugation with P^3, and
+    # ddagger is an involution.  So the ddagger row passes or fails on all
+    # three generators, and the ddagger' and ddagger'' rows follow it
+    # whether or not P^3 is scalar, as the dense report shows on a triple
+    # where it is not
+    from tbtridiag.matrices import algebra_dimension
+
+    system, tri, w = _f4_free_triple(passing)
+    assert _facts(system, tri, w) == {"F1": True, "F2": True, "F3": True, "F4": False}
+    assert algebra_dimension([tri.A, tri.B, tri.C], 3) < 9
+    assert len({tri.A, tri.B, tri.C}) == 3
+    report = antiautomorphism_report(system, tri, w)
+    assert report.to_dict() == _dense_antiautomorphism_report(system, tri, w).to_dict()
+    rows = [c.passed for c in report if c.name.split("(")[0] in ("ddagger", "ddagger'",
+                                                                    "ddagger''")]
+    assert rows == [passing] * 9

@@ -216,7 +216,7 @@ def decode_triple(doc):
     if C.shape != sys.A.shape:
         raise ParseError("matrix shapes do not match the diameter")
     theta = sys.array.theta
-    # as in build_C: A* = diag(theta), so its idempotents are the E*_i
+    # as in build_C: A* = diag(theta), so its idempotents are the matrix units
     if sys.A_star != diagonal(fld, theta):
         raise ParseError("stored A_star is not diag(theta)")
     try:
@@ -227,7 +227,7 @@ def decode_triple(doc):
         E_dprime = primitive_idempotents(C, theta)
     except NotAnnihilated:
         raise ParseError("stored C is not annihilated by theta's factors") from None
-    tri = LeonardTriple(sys.A, sys.A_star, C, sys.E, sys.E_star, E_dprime, sc)
+    tri = LeonardTriple(sys.A, sys.A_star, C, sys.E, E_dprime, sc)
     w = spectral_elements(tri)
     expected = {"beta": sc.beta, "rho": sc.rho, "h": sc.h, "z": sc.z, "q": sc.q,
                 "t": w.t, "kappa": w.kappa, "W": w.W, "W_prime": w.W_prime,

@@ -1,13 +1,14 @@
 """Totally bipartite tridiagonal systems in the standard basis.
 
 From a validated eigenvalue array this module builds the tridiagonal A (zero
-diagonal, subdiagonal c, superdiagonal b), the diagonal A*, both idempotent
-families, the symmetrizing diagonal K and the sign involutions S, S*.  A is
-irreducible tridiagonal, so its E_i have rank one and are kept as
-eigenvectors (matrices.RankOneFamily), on which build_system and
-verify_axioms decide in O(n^2) field operations.  Verification returns a
-report with witnesses, never raising on a mathematical failure, so mutated
-inputs (an A off the band takes dense Lagrange E_i) can be diagnosed.
+diagonal, subdiagonal c, superdiagonal b), the diagonal A*, A's idempotents,
+the symmetrizing diagonal K and the sign involutions S, S*.  The E*_i are
+the matrix units e_ii, the standard basis itself.  A is irreducible
+tridiagonal, so its E_i have rank one and are kept as eigenvectors
+(matrices.RankOneFamily), on which build_system and verify_axioms decide in
+O(n^2) field operations.  Verification returns a report with witnesses,
+never raising on a mathematical failure, so mutated inputs (an A off the
+band takes dense Lagrange E_i) can be diagnosed.
 """
 
 from dataclasses import dataclass
@@ -67,17 +68,16 @@ def intersection_numbers(arr):
 
 @dataclass(frozen=True)
 class TBSystem:
-    """A TB tridiagonal system in the standard basis.  E is the RankOneFamily
-    of A's right and left eigenvectors when A is irreducible tridiagonal, else
-    the tuple of dense Lagrange E_i, or None when A's eigenvalue factors do
-    not annihilate A, which verify_axioms reports instead of raising."""
+    """A TB tridiagonal system in the standard basis, whose units e_ii are the
+    E*_i.  E is the RankOneFamily of A's eigenvectors when A is irreducible
+    tridiagonal, else the dense Lagrange E_i, or None when A's eigenvalue
+    factors do not annihilate A, which verify_axioms reports, not raising."""
 
     array: object
     inters: IntersectionNumbers
     A: Matrix
     A_star: Matrix
     E: tuple | None
-    E_star: tuple
     K: Matrix
     S: Matrix | None
     S_star: Matrix
@@ -111,17 +111,15 @@ def system(arr, inters, A, A_star, K):
     """The TBSystem with these parts; its idempotents and involutions are
     formed here and nowhere else.
 
-    The E*_i are the matrix units, E = primitive_idempotents(A, theta) (None
-    when prod (A - theta_i I) != 0), S* = diag((-1)^k) and S = sum (-1)^i E_i
-    (None with E): the exchange matrix J when J u_i = (-1)^i u_i for every
-    u_i, as the two agree on that basis, else by spectral_sum.  The reports
-    rely on S being formed only here and on each E_i being its Lagrange
-    polynomial p_i(A).  No identity is checked.
+    E = primitive_idempotents(A, theta) (None when prod (A - theta_i I) !=
+    0), S* = diag((-1)^k) and S = sum (-1)^i E_i (None with E): the exchange
+    matrix J when J u_i = (-1)^i u_i for every u_i, as the two agree on that
+    basis, else by spectral_sum.  The reports rely on S being formed only
+    here and on each E_i being its Lagrange polynomial p_i(A).  No identity
+    is checked.
     """
     fld = arr.field
     n = arr.d + 1
-    E_star = tuple(diagonal(fld, [fld.one if j == i else fld.zero for j in range(n)])
-                   for i in range(n))
     try:
         E = primitive_idempotents(A, arr.theta)
     except NotAnnihilated:
@@ -131,7 +129,7 @@ def system(arr, inters, A, A_star, K):
     S = None if E is None else J if isinstance(E, RankOneFamily) and all(
         u[::-1] == (u if i % 2 == 0 else tuple(map(fld._neg, u)))
         for i, u in enumerate(E.u)) else spectral_sum(E, signs)
-    return TBSystem(arr, inters, A, A_star, E, E_star, K, S, diagonal(fld, signs))
+    return TBSystem(arr, inters, A, A_star, E, K, S, diagonal(fld, signs))
 
 
 def build_system(arr):
@@ -167,21 +165,14 @@ def build_system(arr):
 
 
 def raising_lowering(sys):
-    """The raising map R (subdiagonal c) and lowering map L (superdiagonal b)."""
+    """The raising map R (subdiagonal c) and lowering map L (superdiagonal b).
+    With E*_i = e_ii, R + L = A gives E*_i R = E*_i A E*_{i-1} = R E*_{i-1},
+    likewise for L, and R (L) strictly lower (upper), for any c and b."""
     fld = sys.field
     n = sys.d + 1
-    zero = zeros(fld, n)
     R = _tridiagonal(fld, sys.inters.c, [fld.zero] * (n - 1), n)
     L = _tridiagonal(fld, [fld.zero] * (n - 1), sys.inters.b, n)
     require(R + L == sys.A, "R + L != A")
-    Es = sys.E_star
-    for i in range(1, n):
-        require(Es[i] * R == Es[i] * sys.A * Es[i - 1] == R * Es[i - 1],
-                f"R does not raise E*_{i - 1} to E*_{i}")
-        require(Es[i - 1] * L == Es[i - 1] * sys.A * Es[i] == L * Es[i],
-                f"L does not lower E*_{i} to E*_{i - 1}")
-    require(Es[0] * R == zero and R * Es[n - 1] == zero, "R is not strictly lower")
-    require(Es[n - 1] * L == zero and L * Es[0] == zero, "L is not strictly upper")
     return R, L
 
 
@@ -325,10 +316,13 @@ def dagger_ratios(sys):
 def dagger_map(sys):
     """The antiautomorphism X -> K^{-1} X^t K fixing A, A* and all idempotents,
     as a function; the ratio table is computed once, here."""
+    return _dagger_from(sys, dagger_ratios(sys))
+
+
+def _dagger_from(sys, ratios):
     n = sys.d + 1
     fld = sys.field
     mul = fld._mul
-    ratios = dagger_ratios(sys)
 
     def dag(x):
         if x.shape != (n, n):
@@ -364,10 +358,10 @@ def dagger_report(sys):
     rb = ReportBuilder()
     fld = sys.field
     n = sys.d + 1
-    dag = dagger_map(sys)
+    r = dagger_ratios(sys)
+    dag = _dagger_from(sys, r)
     fixes_A = rb.matrices_equal("dagger(A) = A", dag(sys.A), sys.A)
     rb.matrices_equal("dagger(A*) = A*", dag(sys.A_star), sys.A_star)
-    r = dagger_ratios(sys)
     mul, one = fld._mul, fld._one_raw
     involution = all(mul(r[i][j], r[j][i]) == one for i in range(n) for j in range(i, n))
     reverses = reverses_products(fld, r)
@@ -441,17 +435,22 @@ def sd_isomorphism(sys):
 
     Requires a self-dual system.  Computes all four polynomial sums
     independently, checks their equality and nonzeroness, and returns the
-    common value; a failure raises InvariantViolation.
+    common value; a failure, or a system without A's idempotents, raises
+    InvariantViolation.
     """
     if not is_self_dual(sys.array):
         raise NotSelfDual("sd_isomorphism needs theta == theta_star")
+    require(sys.E is not None, "idempotents of A unavailable")
     fld, d, n = sys.field, sys.d, sys.d + 1
     theta, theta_star = sys.array.theta, sys.array.theta_star
     A, B = sys.A, sys.A_star
     tau, eta = poly_chain(A, theta), poly_chain(A, theta[::-1])
     tau_s, eta_s = poly_chain(B, theta_star), poly_chain(B, theta_star[::-1])
-    (E0, Ed), (Es0, Esd) = (sys.E[0], sys.E[d]), (sys.E_star[0], sys.E_star[d])
-    e0_esd, e0s_ed, ed_es0, esd_e0 = Es0 * Ed, E0 * Esd, Ed * Es0, Esd * E0
+    E0, Ed, z = sys.E[0].raw, sys.E[d].raw, (fld._zero_raw,) * n
+    # E*_0 E_d, E_0 E*_d, E_d E*_0, E*_d E_0: E*_k keeps one row or column
+    e0_esd, e0s_ed, ed_es0, esd_e0 = (Matrix.from_raw(fld, rows) for rows in (
+        [Ed[0]] + [z] * d, [z[:d] + r[d:] for r in E0], [r[:1] + z[1:] for r in Ed],
+        [z] * d + [E0[d]]))
     sums = [zeros(fld, n) for _ in range(4)]
     for i in range(n):
         sums[0] = sums[0] + eta[d - i] * e0_esd * tau_s[i]

@@ -10,10 +10,10 @@ Leonard triples", LAA 424, 2007).  What carries through these maps is decided
 on A, B, C, W, W' and P; a dense image is formed only where such a fact fails.
 
 No report inverts a matrix by elimination: W^{-1} = sum t_i^{-1} E_i (one
-product of eigenvector factors, as W and W'' are), W'^{-1} =
-sum t_i^{-1} E'_i and P^{-1} = kappa^{-1} P^2 are each certified by one
-product against I, and T^{-1} = W^{-1} W'^{-1} W^{-1} and (X^dagger)^{-1} =
-(X^{-1})^dagger follow.  Gauss-Jordan is the fallback for data that fails a
+product of eigenvector factors, as W and W'' are), W'^{-1} = diag(t)^{-1}
+(B is diagonal, so W' = diag(t)) and P^{-1} = kappa^{-1} P^2 are each
+certified by one product against I; T^{-1} = W^{-1} W'^{-1} W^{-1} and
+(X^dagger)^{-1} = (X^{-1})^dagger follow.  Gauss-Jordan is the fallback for data that fails a
 certificate, such as a hand-built WData with a false kappa, so reports and
 Singular raises are those of dense inversion.
 """
@@ -58,7 +58,6 @@ class LeonardTriple:
     B: Matrix
     C: Matrix
     E: tuple
-    E_prime: tuple
     E_dprime: tuple
     scalars: TripleScalars
 
@@ -141,7 +140,7 @@ def triple_scalars(arr, beta=None):
 
 
 def build_C(sys, sc):
-    """Adjoin the third element C and both remaining idempotent families.
+    """Adjoin the third element C and its idempotent family.
 
     The three cases are one q-commutator relation a XY + b YX = s Z, with
     (a, b, s) = (1, -1, z) at beta = 2, (1, 1, z) at beta = -2 and
@@ -161,11 +160,11 @@ def build_C(sys, sc):
         if a * (X * Y) + b * (Y * X) != Z * s:
             raise RelationViolation(f"cyclic relation {k} failed for case {sc.case}")
     theta = sys.array.theta
-    # B = A* is diagonal, so its primitive idempotents are the matrix units
+    # B's primitive idempotents are the matrix units, which W' assumes
     require(B == diagonal(fld, theta), "A* != diag(theta)")
     # C is tridiagonal with zero diagonal, like A
     E_dprime = primitive_idempotents(C, theta)
-    return LeonardTriple(A, B, C, sys.E, sys.E_star, E_dprime, sc)
+    return LeonardTriple(A, B, C, sys.E, E_dprime, sc)
 
 
 def _weights(sc, d):
@@ -197,7 +196,7 @@ def spectral_elements(tri):
     sc, d = tri.scalars, tri.d
     t = _weights(sc, d)
     W = spectral_sum(tri.E, t)
-    W_prime = spectral_sum(tri.E_prime, t)
+    W_prime = diagonal(tri.field, t)
     return WData(W, W_prime, spectral_sum(tri.E_dprime, t), W_prime * W, t,
                  expected_kappa(sc, d))
 
@@ -231,13 +230,6 @@ def _certified_inverse(x, candidate):
     return x.inverse()
 
 
-def _spectral_inverse(x, idems, t):
-    """x^{-1} = sum t_i^{-1} E_i for x = sum t_i E_i."""
-    candidate = None if any(ti.is_zero() for ti in t) else \
-        spectral_sum(idems, [ti.inverse() for ti in t])
-    return _certified_inverse(x, candidate)
-
-
 def _P_inverse(w):
     """P^{-1} = kappa^{-1} P^2, since P^3 = kappa I."""
     candidate = None if w.kappa.is_zero() else w.P * w.P * w.kappa.inverse()
@@ -258,8 +250,10 @@ class SpectralInverses:
 def spectral_inverses(tri, w):
     """W^{-1}, W'^{-1}, P^{-1}, T and T^{-1} from the spectral data (see the
     module docstring); T^{-1} = W^{-1} W'^{-1} W^{-1} follows by algebra."""
-    W_inv = _spectral_inverse(w.W, tri.E, w.t)
-    Wp_inv = _spectral_inverse(w.W_prime, tri.E_prime, w.t)
+    t_inv = None if len(w.t) != tri.d + 1 or any(ti.is_zero() for ti in w.t) \
+        else [ti.inverse() for ti in w.t]
+    W_inv = _certified_inverse(w.W, t_inv and spectral_sum(tri.E, t_inv))
+    Wp_inv = _certified_inverse(w.W_prime, t_inv and diagonal(tri.field, t_inv))
     return SpectralInverses(W_inv, Wp_inv, _P_inverse(w),
                             w.W * w.W_prime * w.W, W_inv * Wp_inv * W_inv)
 

@@ -11,7 +11,7 @@ from tbtridiag.arrays import (AskeyWilsonSeq, Family, aw_sequence,
                               q_equivalent, validate_array)
 from tbtridiag.errors import InvalidArray
 from tbtridiag.fields import QQ, PrimeField, QQi
-from tbtridiag.matrices import identity, spectral_sum
+from tbtridiag.matrices import diagonal, identity, spectral_sum
 from tbtridiag.serialize import decode_system, emit_system
 from tbtridiag.system import (build_system, dagger_report, intersection_numbers,
                               involutions_check, sd_isomorphism,
@@ -335,9 +335,9 @@ def test_criterion_10_negative_witnesses():
     w = build_W(tri)
     bad_t = (w.t[0], w.t[1] + 1)
     bad_w = WData(spectral_sum(tri.E, bad_t),
-                  spectral_sum(tri.E_prime, bad_t),
+                  diagonal(Qi, bad_t),
                   spectral_sum(tri.E_dprime, bad_t),
-                  spectral_sum(tri.E_prime, bad_t) * spectral_sum(tri.E, bad_t),
+                  diagonal(Qi, bad_t) * spectral_sum(tri.E, bad_t),
                   bad_t, w.kappa)
     report = braid_check(bad_w)
     fail = report.failures()[0]

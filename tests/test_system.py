@@ -12,20 +12,26 @@ from hypothesis import strategies as st
 import tbtridiag
 from tbtridiag import system
 from tbtridiag.arrays import (AskeyWilsonSeq, Family, aw_sequence,
-                              aw_sequence_nonzero, generate_family, relatives,
-                              validate_array)
-from tbtridiag.errors import NotAnnihilated, NotSelfDual
+                              aw_sequence_nonzero, generate_family, is_self_dual,
+                              relatives, validate_array)
+from tbtridiag.errors import InvariantViolation, NotAnnihilated, NotSelfDual
 from tbtridiag.fields import QQ, RationalField, parse_field
 from tbtridiag.matrices import (Matrix, RankOneFamily, _closure_rank,
                                 _ExactIntEchelon, _FieldEchelon,
                                 algebra_dimension, column, diagonal, identity,
-                                lagrange_idempotents, spectral_sum, zeros)
+                                lagrange_idempotents, poly_chain, spectral_sum,
+                                zeros)
 from tbtridiag.system import (build_system, dagger, dagger_report,
                               intersection_numbers, involutions_check,
                               isomorphic, raising_lowering, sd_isomorphism,
                               verify_aw_relations, verify_axioms)
 from tbtridiag.report import CheckResult, ReportBuilder
 from tbtridiag.serialize import decode_system, emit_system
+
+
+def _units(fld, n):
+    """The dual idempotents E*_i = e_ii as dense matrices, built here."""
+    return tuple(diagonal(fld, [int(i == j) for j in range(n)]) for i in range(n))
 
 
 def _rank(vectors):
@@ -114,7 +120,7 @@ def test_raising_lowering(k3):
     assert L == Matrix(QQ, [[0, 3, 0, 0], [0, 0, 2, 0],
                             [0, 0, 0, 1], [0, 0, 0, 0]])
     assert R + L == k3.A
-    assert (k3.E_star[0] * R).is_zero()
+    assert (diagonal(QQ, [1, 0, 0, 0]) * R).is_zero()
     e0 = column(QQ, [1, 0, 0, 0])
     assert (L * e0).is_zero()
     # action on the all-ones eigenvector slices: R v_{i-1} = c_i v_i, L v_1 = theta_0 v_0
@@ -128,6 +134,52 @@ def test_raising_lowering(k3):
     v1 = column(QQ, [0, 1, 0, 0])
     v0 = column(QQ, [1, 0, 0, 0])
     assert L * v1 == v0 * theta[0]
+
+
+FIELD_KINDS = ["Q", "Q(i)", "Q(sqrt:2)", "Fp:101", "Fp2:103"]
+
+
+def _unit_products_hold(s, R, L):
+    """The E*_i products raising_lowering checked before it relied on R + L = A."""
+    n = s.d + 1
+    Es, zero = _units(s.field, n), zeros(s.field, n)
+    return (all(Es[i] * R == Es[i] * s.A * Es[i - 1] == R * Es[i - 1]
+                and Es[i - 1] * L == Es[i - 1] * s.A * Es[i] == L * Es[i]
+                for i in range(1, n))
+            and Es[0] * R == zero == R * Es[n - 1] and Es[n - 1] * L == zero == L * Es[0])
+
+
+@pytest.mark.parametrize("spec", FIELD_KINDS)
+def test_raising_lowering_satisfies_the_unit_products(spec):
+    fld = parse_field(spec)
+    for family, d, kwargs in LEMMA_FAMILIES:
+        s = build_system(generate_family(fld, family, d, **kwargs))
+        assert _unit_products_hold(s, *raising_lowering(s)), (family, d)
+
+
+@pytest.mark.parametrize("entry, value", [((0, 2), "1"), ((2, 1), "5")])
+def test_raising_lowering_rejects_a_tampered_A(k3, entry, value):
+    # an entry off the band, then a changed subdiagonal entry
+    doc = emit_system(k3)
+    doc["A"][entry[0]][entry[1]] = value
+    with pytest.raises(InvariantViolation, match=r"^R \+ L != A$"):
+        raising_lowering(decode_system(doc))
+
+
+@pytest.mark.parametrize("spec", FIELD_KINDS)
+def test_system_and_raising_lowering_form_no_product(spec, monkeypatch):
+    built = [build_system(generate_family(parse_field(spec), family, d, **kwargs))
+             for family, d, kwargs in LEMMA_FAMILIES]
+    expected = [raising_lowering(s) for s in built]
+
+    def refuse(*args):
+        raise AssertionError("a matrix product was formed")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    for s, RL in zip(built, expected):
+        again = system.system(s.array, s.inters, s.A, s.A_star, s.K)
+        assert (again.E.u, again.E.w, again.S) == (s.E.u, s.E.w, s.S)
+        assert raising_lowering(again) == RL
 
 
 def test_verify_axioms_passes(k3, qr3):
@@ -266,6 +318,16 @@ def test_dagger_verdicts_fail_on_a_corrupted_ratio(spec, monkeypatch):
         assert "dagger(A) = A" not in failed and "dagger(A*) = A*" not in failed
 
 
+def test_dagger_report_forms_the_ratio_table_once(k3, qr3, monkeypatch):
+    calls = []
+    exact = system.dagger_ratios
+    monkeypatch.setattr(system, "dagger_ratios", lambda s: calls.append(s) or exact(s))
+    for s in (k3, qr3):
+        del calls[:]
+        assert dagger_report(s).passed
+        assert calls == [s]
+
+
 def test_involutions(k3, qr3):
     for s in (k3, qr3):
         report = involutions_check(s)
@@ -361,7 +423,7 @@ def _idempotent_loops(s):
     rb = ReportBuilder()
     rb.matrix_zero(EIGEN_FACTORS, prod)
     dag = system.dagger_map(s)
-    fixes = all(dag(e) == e for e in s.E_star + tuple(s.E or ()))
+    fixes = all(dag(e) == e for e in _units(fld, n) + tuple(s.E or ()))
     twist = None if s.E is None else all(s.S_star * s.E[i] == s.E[s.d - i] * s.S_star
                                          for i in range(n))
     return rb.build().checks[0], fixes, twist
@@ -1022,6 +1084,42 @@ def test_sd_isomorphism_d3(k3):
     lam = sq[0, 0]
     assert not lam.is_zero()
     assert sq == identity(QQ, 4) * lam
+
+
+def _unit_sums_psi(s):
+    """Psi as sd_isomorphism formed it from four products with E*_0, E*_d."""
+    fld, d, n = s.field, s.d, s.d + 1
+    theta = s.array.theta
+    Es = _units(fld, n)
+    tau, eta = poly_chain(s.A, theta), poly_chain(s.A, theta[::-1])
+    tau_s, eta_s = poly_chain(s.A_star, theta), poly_chain(s.A_star, theta[::-1])
+    products = Es[0] * s.E[d], s.E[0] * Es[d], s.E[d] * Es[0], Es[d] * s.E[0]
+    sums = [zeros(fld, n) for _ in range(4)]
+    for i in range(n):
+        sums[0] = sums[0] + eta[d - i] * products[0] * tau_s[i]
+        sums[1] = sums[1] + eta_s[d - i] * products[1] * tau[i]
+        sums[2] = sums[2] + tau_s[i] * products[2] * eta[d - i]
+        sums[3] = sums[3] + tau[i] * products[3] * eta_s[d - i]
+    assert sums[1:] == [sums[0]] * 3
+    return sums[0]
+
+
+@pytest.mark.parametrize("spec", FIELD_KINDS)
+def test_sd_isomorphism_matches_the_unit_products(spec):
+    fld = parse_field(spec)
+    for family, d, kwargs in LEMMA_FAMILIES:
+        s = build_system(generate_family(fld, family, d, **kwargs))
+        if is_self_dual(s.array):
+            assert sd_isomorphism(s) == _unit_sums_psi(s), (family, d)
+
+
+def test_sd_isomorphism_without_idempotents_raises(k3):
+    doc = emit_system(k3)
+    doc["A"][1][2] = "0"
+    broken = decode_system(doc)
+    assert broken.E is None and is_self_dual(broken.array)
+    with pytest.raises(InvariantViolation, match="idempotents of A unavailable"):
+        sd_isomorphism(broken)
 
 
 def test_sd_isomorphism_requires_self_dual():

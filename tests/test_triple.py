@@ -21,6 +21,11 @@ from tbtridiag.triple import (LeonardTriple, WData, antiautomorphism_report,
                               triple_scalars, _weights)
 
 
+def _units(fld, n):
+    """The idempotents E'_i of B = diag(theta), the matrix units e_ii, built here."""
+    return tuple(diagonal(fld, [int(i == j) for j in range(n)]) for i in range(n))
+
+
 def _triple(fld, family, d, q=None, beta=None, h=1):
     system = build_system(generate_family(fld, family, d, h=h, q=q))
     sc = triple_scalars(system.array, beta=beta)
@@ -164,7 +169,7 @@ def test_braid_fails_on_perturbed_weight(golden1):
     system, tri, w = golden1
     bad_t = (w.t[0], w.t[1] + 1)
     W = spectral_sum(tri.E, bad_t)
-    W_prime = spectral_sum(tri.E_prime, bad_t)
+    W_prime = diagonal(tri.field, bad_t)
     W_dprime = spectral_sum(tri.E_dprime, bad_t)
     bad = WData(W, W_prime, W_dprime, W_prime * W, bad_t, w.kappa)
     report = braid_check(bad)
@@ -404,6 +409,15 @@ def _dense_inverses(w):
 
 
 @pytest.mark.parametrize("case", GOLDEN_TRIPLES)
+def test_W_prime_and_its_inverse_are_sums_over_the_units(case):
+    system, tri, w = _golden(*case)
+    units = _units(tri.field, tri.d + 1)
+    inv = triple.spectral_inverses(tri, w)
+    assert w.W_prime == spectral_sum(units, w.t)
+    assert inv.W_prime_inv == spectral_sum(units, [t.inverse() for t in w.t])
+
+
+@pytest.mark.parametrize("case", GOLDEN_TRIPLES)
 def test_spectral_inverses_equal_gauss_jordan(case, monkeypatch):
     system, tri, w = _golden(*case)
     calls = _counting_inverse(monkeypatch)
@@ -475,8 +489,9 @@ def _rho_cycles_loop(tri, w):
     decided it on A, B and C."""
     inv = triple.spectral_inverses(tri, w)
     rho = lambda x: inv.P_inv * x * w.P
-    return all(rho(tri.E[i]) == tri.E_prime[i]
-               and rho(tri.E_prime[i]) == tri.E_dprime[i]
+    E_prime = _units(tri.field, tri.d + 1)
+    return all(rho(tri.E[i]) == E_prime[i]
+               and rho(E_prime[i]) == tri.E_dprime[i]
                and rho(tri.E_dprime[i]) == tri.E[i] for i in range(tri.d + 1))
 
 
@@ -497,7 +512,7 @@ def test_rho_cycles_verdict_matches_the_loop(golden_triples, case, data):
                               for l in range(n)] for k in range(n)])
         m = lower * lower.transpose()
     C = m * tri.C * m.inverse()
-    conj = LeonardTriple(tri.A, tri.B, C, tri.E, tri.E_prime,
+    conj = LeonardTriple(tri.A, tri.B, C, tri.E,
                          primitive_idempotents(C, system.array.theta), tri.scalars)
     w = spectral_elements(conj)
     report = sigma_and_psl2z(system, conj, w)
@@ -693,7 +708,7 @@ def _tampered(system, tri, w, m, s, pos):
         tri, C=C, E_dprime=primitive_idempotents(C, system.array.theta))
     W_prime = m * w.W_prime * m_inv
     bad_t = (w.t[0] + 1,) + w.t[1:]
-    t_W, t_Wp = spectral_sum(tri.E, bad_t), spectral_sum(tri.E_prime, bad_t)
+    t_W, t_Wp = spectral_sum(tri.E, bad_t), diagonal(fld, bad_t)
     entry = Matrix(fld, [[s if (i, j) == pos else 0 for j in range(n)]
                          for i in range(n)])
     yield "golden", tri, w
@@ -816,7 +831,7 @@ def _f4_free_triple(passing):
                else [[1, 2, -2], [0, 1, 4], [0, 0, 5]])
     B = P.inverse() * A * P
     scalars = triple.TripleScalars(QQ(2), QQ(1), QQ(1), QQ(1))
-    tri = LeonardTriple(A, B, P.inverse() * B * P, (), (), (), scalars)
+    tri = LeonardTriple(A, B, P.inverse() * B * P, (), (), scalars)
     # zero weights and kappa: the spectral inverses fall back to Gauss-Jordan
     w = WData(W, P * W.inverse(), W.inverse() * P, P, (QQ(0),) * 3, QQ(0))
     return system, tri, w

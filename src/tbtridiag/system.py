@@ -19,7 +19,7 @@ from .errors import (DimensionMismatch, FieldMismatch, NotAnnihilated,
                      NotSelfDual, ZeroDenominator, require)
 from .matrices import (Matrix, RankOneFamily, algebra_dimension, diagonal,
                        identity, poly_chain, primitive_idempotents,
-                       spectral_sum, zeros)
+                       spectral_sum)
 from .report import ReportBuilder
 
 
@@ -430,36 +430,39 @@ def involutions_check(sys):
     return rb.build()
 
 
+def _intertwiner_sum(X, c, r, Y, theta):
+    """sum_i q_{d-i}(X) c r p_i(Y) as one product, p_i and q_i the chains
+    over theta and theta reversed; q_{k+1}(X) c is X v - t v for v =
+    q_k(X) c, and r p_{k+1}(Y) is v Y - t v likewise."""
+    fld = X.field
+    mm, step, Yt = fld._matmul, fld._sub_scaled, list(zip(*Y.raw))
+    cols, rows = [c], [r]
+    for a, b in zip(theta[:0:-1], theta):
+        cols.append(step(mm([cols[-1]], X.raw)[0], a.value, cols[-1]))
+        rows.append(step(mm([rows[-1]], Yt)[0], b.value, rows[-1]))
+    return Matrix.from_raw(fld, zip(*cols[::-1])) * Matrix.from_raw(fld, rows)
+
+
 def sd_isomorphism(sys):
     """The canonical intertwiner Psi with Psi A = A* Psi and Psi A* = A Psi.
 
-    Requires a self-dual system.  Computes all four polynomial sums
-    independently, checks their equality and nonzeroness, and returns the
-    common value; a failure, or a system without A's idempotents, raises
-    InvariantViolation.
+    Requires a self-dual system.  The four polynomial sums must agree and
+    not vanish; each term's factor E*_0 E_d, E_0 E*_d, E_d E*_0 or E*_d E_0
+    is a column times a row, so each sum is one product.  A failure, or a
+    system without A's idempotents, raises InvariantViolation.
     """
     if not is_self_dual(sys.array):
         raise NotSelfDual("sd_isomorphism needs theta == theta_star")
     require(sys.E is not None, "idempotents of A unavailable")
     fld, d, n = sys.field, sys.d, sys.d + 1
-    theta, theta_star = sys.array.theta, sys.array.theta_star
+    theta = sys.array.theta
     A, B = sys.A, sys.A_star
-    tau, eta = poly_chain(A, theta), poly_chain(A, theta[::-1])
-    tau_s, eta_s = poly_chain(B, theta_star), poly_chain(B, theta_star[::-1])
-    E0, Ed, z = sys.E[0].raw, sys.E[d].raw, (fld._zero_raw,) * n
-    # E*_0 E_d, E_0 E*_d, E_d E*_0, E*_d E_0: E*_k keeps one row or column
-    e0_esd, e0s_ed, ed_es0, esd_e0 = (Matrix.from_raw(fld, rows) for rows in (
-        [Ed[0]] + [z] * d, [z[:d] + r[d:] for r in E0], [r[:1] + z[1:] for r in Ed],
-        [z] * d + [E0[d]]))
-    sums = [zeros(fld, n) for _ in range(4)]
-    for i in range(n):
-        sums[0] = sums[0] + eta[d - i] * e0_esd * tau_s[i]
-        sums[1] = sums[1] + eta_s[d - i] * e0s_ed * tau[i]
-        sums[2] = sums[2] + tau_s[i] * ed_es0 * eta[d - i]
-        sums[3] = sums[3] + tau[i] * esd_e0 * eta_s[d - i]
-    psi = sums[0]
-    require(sums[1] == psi and sums[2] == psi and sums[3] == psi,
-            "the four intertwiner sums disagree")
+    E0, Ed = sys.E[0].raw, sys.E[d].raw
+    e0, ed = ([fld._one_raw if j == k else fld._zero_raw for j in range(n)] for k in (0, d))
+    psi, *rest = (_intertwiner_sum(X, c, r, Y, t) for X, c, r, Y, t in (
+        (A, e0, Ed[0], B, theta), (B, [row[d] for row in E0], ed, A, theta),
+        (B, [row[0] for row in Ed], e0, A, theta[::-1]), (A, ed, E0[d], B, theta[::-1])))
+    require(rest == [psi] * 3, "the four intertwiner sums disagree")
     require(not psi.is_zero(), "intertwiner vanishes")
     require(psi * A == B * psi and psi * B == A * psi, "Psi does not intertwine A and A*")
     return psi

@@ -1076,18 +1076,30 @@ def test_sd_isomorphism_d1():
     assert sq[0, 0] == sq[1, 1] and not sq[0, 0].is_zero()
 
 
-def test_sd_isomorphism_d3(k3):
-    psi = sd_isomorphism(k3)
-    assert psi * k3.A == k3.A_star * psi
-    assert psi * k3.A_star == k3.A * psi
+SELF_DUAL_FAMILIES = [(family, d, kwargs) for family, d, kwargs in LEMMA_FAMILIES
+                      if is_self_dual(generate_family(QQ, family, d, **kwargs))]
+SELF_DUAL_IDS = [f"{family.value}-{d}" for family, d, _ in SELF_DUAL_FAMILIES]
+
+
+@pytest.mark.parametrize("family, d, kwargs", SELF_DUAL_FAMILIES, ids=SELF_DUAL_IDS)
+@pytest.mark.parametrize("spec", FIELD_KINDS)
+def test_sd_isomorphism_defining_properties(spec, family, d, kwargs):
+    fld = parse_field(spec)
+    s = build_system(generate_family(fld, family, d, **kwargs))
+    psi = sd_isomorphism(s)
+    assert psi * s.A == s.A_star * psi
+    assert psi * s.A_star == s.A * psi
     sq = psi * psi
     lam = sq[0, 0]
     assert not lam.is_zero()
-    assert sq == identity(QQ, 4) * lam
+    assert sq == identity(fld, d + 1) * lam
 
 
 def _unit_sums_psi(s):
-    """Psi as sd_isomorphism formed it from four products with E*_0, E*_d."""
+    """The verdict of sd_isomorphism as it formed Psi from four products with
+    E*_0, E*_d: Psi, or the text of the InvariantViolation it raised."""
+    if s.E is None:
+        return "idempotents of A unavailable"
     fld, d, n = s.field, s.d, s.d + 1
     theta = s.array.theta
     Es = _units(fld, n)
@@ -1100,8 +1112,21 @@ def _unit_sums_psi(s):
         sums[1] = sums[1] + eta_s[d - i] * products[1] * tau[i]
         sums[2] = sums[2] + tau_s[i] * products[2] * eta[d - i]
         sums[3] = sums[3] + tau[i] * products[3] * eta_s[d - i]
-    assert sums[1:] == [sums[0]] * 3
-    return sums[0]
+    psi = sums[0]
+    if sums[1:] != [psi] * 3:
+        return "the four intertwiner sums disagree"
+    if psi.is_zero():
+        return "intertwiner vanishes"
+    if psi * s.A != s.A_star * psi or psi * s.A_star != s.A * psi:
+        return "Psi does not intertwine A and A*"
+    return psi
+
+
+def _sd_verdict(s):
+    try:
+        return sd_isomorphism(s)
+    except InvariantViolation as err:
+        return str(err)
 
 
 @pytest.mark.parametrize("spec", FIELD_KINDS)
@@ -1110,7 +1135,60 @@ def test_sd_isomorphism_matches_the_unit_products(spec):
     for family, d, kwargs in LEMMA_FAMILIES:
         s = build_system(generate_family(fld, family, d, **kwargs))
         if is_self_dual(s.array):
-            assert sd_isomorphism(s) == _unit_sums_psi(s), (family, d)
+            psi = _unit_sums_psi(s)
+            assert isinstance(psi, Matrix) and sd_isomorphism(s) == psi, (family, d)
+
+
+def _sd_tamperings(doc, fld, d):
+    """Decoded tamperings of a self-dual system document, each with the
+    verdict the unit products give it."""
+    n = d + 1
+
+    def changed(key, i, j, by):
+        out = json.loads(json.dumps(doc))
+        out[key][i][j] = fld.encode(fld.parse(out[key][i][j]) + fld(by))
+        return out
+    cases = [(changed("A_star", 1, 1, 1), "the four intertwiner sums disagree"),
+             (changed("A_star", 0, d, 1), "the four intertwiner sums disagree"),
+             (changed("A", 1, 0, 2), "idempotents of A unavailable")]
+    if d >= 2:
+        cases.append((_conjugated_doc(doc, fld, 0, 2, fld.one),
+                      "the four intertwiner sums disagree"))
+    if d % 2 == 0:
+        zero = json.loads(json.dumps(doc))
+        zero["A"] = [["0"] * n for _ in range(n)]
+        cases.append((zero, "intertwiner vanishes"))
+    return [(decode_system(t), verdict) for t, verdict in cases]
+
+
+@pytest.mark.parametrize("spec", FIELD_KINDS)
+def test_sd_isomorphism_matches_the_unit_products_on_tampered_documents(spec):
+    fld = parse_field(spec)
+    for family, d, kwargs in SELF_DUAL_FAMILIES:
+        doc = emit_system(build_system(generate_family(fld, family, d, **kwargs)))
+        tamperings = _sd_tamperings(doc, fld, d)
+        for s, verdict in tamperings:
+            assert is_self_dual(s.array)
+            assert _unit_sums_psi(s) == verdict, (family, d, verdict)
+            assert _sd_verdict(s) == verdict, (family, d, verdict)
+        # A off the band, or A = 0, takes the dense Lagrange E_i
+        assert any(isinstance(s.E, tuple) for s, _ in tamperings) == (d >= 2)
+
+
+def test_sd_isomorphism_forms_one_product_per_sum(monkeypatch):
+    s = build_system(generate_family(parse_field("Fp:1000003"), Family.KRAWTCHOUK, 8))
+    expected = _unit_sums_psi(s)
+    calls = []
+    real = Matrix.__mul__
+
+    def counted(x, y):
+        if isinstance(y, Matrix) and x.shape == y.shape == (9, 9):
+            calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    assert sd_isomorphism(s) == expected
+    assert len(calls) <= 8
 
 
 def test_sd_isomorphism_without_idempotents_raises(k3):

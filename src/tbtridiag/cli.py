@@ -299,9 +299,17 @@ def _attach_negative_elements(argv):
     return out
 
 
+# Built on the first call of main, not at import, and reused by every later
+# call in the process: parse_args leaves the parser as it found it, and each
+# cmd_* looks its library functions up as module globals when it runs.
+_parser = None
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(_attach_negative_elements(
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(_attach_negative_elements(
         _sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)

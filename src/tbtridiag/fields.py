@@ -278,11 +278,12 @@ class RationalField(Field):
 
     def _matmul(self, rows, cols):
         # Integer dot products over each operand's common denominator, then
-        # one Fraction per entry.
+        # one Fraction per nonzero entry; a zero entry is the shared zero.
         a, da = self._integer_view(rows)
         b, db = self._integer_view(cols)
-        den = da * db
-        return [[Fraction(sum(map(mul, r, c)), den) for c in b] for r in a]
+        den, zero = da * db, self._zero_raw
+        return [[Fraction(s, den) if s else zero for s in [sum(map(mul, r, c)) for c in b]]
+                for r in a]
 
     def _integer_view(self, vecs):
         """Fraction vectors as int vectors over one common denominator."""
@@ -525,9 +526,12 @@ class QuadraticExtension(Field):
         k = len(zt[0]) // 2 if zt else 0
         real_cols = [[dd * z for z in c[:k]] + [dn * t for t in c[k:]] for c in zt]
         imag_cols = [c[k:] + c[:k] for c in zt]
-        den, val = dr * dc, base._from_integers
-        return [[(val(sum(map(mul, r, rc)), den * dd), val(sum(map(mul, r, ic)), den))
-                 for rc, ic in zip(real_cols, imag_cols)] for r in xy]
+        sums = ([(sum(map(mul, r, rc)), sum(map(mul, r, ic)))
+                 for rc, ic in zip(real_cols, imag_cols)] for r in xy)
+        # a zero coordinate is the base's shared zero, not a new value
+        den, val, zero = dr * dc, base._from_integers, base._zero_raw
+        return [[(val(s, den * dd) if s else zero, val(t, den) if t else zero) for s, t in row]
+                for row in sums]
 
     def _encode_raw(self, v):
         enc = self.base._encode_raw

@@ -577,6 +577,44 @@ def test_beta_minus_two_at_odd_d_rejected(capsys, tmp_path, spec):
     assert err.startswith("BetaInvalid: beta = -2 at odd d = 1") and "C is undefined" in err
 
 
+def test_one_process_answers_each_command_as_if_alone(capsys, tmp_path, monkeypatch):
+    # main builds its parser on the first call and reuses it for every later one
+    from tbtridiag import cli
+
+    def answer(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse's usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    arr, system, junk = (str(tmp_path / name) for name in ("arr.json", "sys.json", "junk.json"))
+    answer(["generate", "--field", "Q(i)", "--family", "krawtchouk", "--d", "3", "-o", arr])
+    answer(["build", "-i", arr, "-o", system])
+    (tmp_path / "junk.json").write_text("{not json")
+    commands = [
+        ["generate", "--field", "Q", "--family", "bannai-ito", "--d", "4", "--format", "table"],
+        ["build", "-i", arr],
+        ["verify", "-i", arr],
+        ["verify", "-i", system, "--format", "json"],
+        ["triple", "-i", arr, "--format", "table"],
+        ["verify", "-i", junk],
+        ["verify", "--no-such-option"],
+    ]
+    alone = []
+    for argv in commands:
+        monkeypatch.setattr(cli, "_parser", None)
+        alone.append(answer(argv))
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 0, 2, 2]
+
+    built, build = [], cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [answer(argv) for argv in commands] == alone
+    assert len(built) == 1
+
+
 FUZZ_GARBAGE = [None, True, False, 0, -1, 3, 2.5, 10 ** 30, [], {}, [[]], {"x": 1},
                 "", "x", "1/0", "1 mod 7", "0 mod 101", "1+1*sqrt(-1)", "sqrt(", "-"]
 

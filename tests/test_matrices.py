@@ -428,6 +428,21 @@ def test_product_matches_boxed_reference(spec, data):
 @pytest.mark.parametrize("spec", KERNEL_FIELDS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
+def test_product_zero_entries_are_the_shared_zero(spec, data):
+    # so that equality on raw tuples short-circuits on identity at zeros
+    fld = parse_field(spec)
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    x = data.draw(_matrices(fld, n, k))
+    y = data.draw(_matrices(fld, k, m))
+    ext = isinstance(fld, QuadraticExtension)
+    zero = (fld.base if ext else fld)._zero_raw
+    coords = [c for row in (x * y).raw for v in row for c in (v if ext else (v,))]
+    assert all(c is zero for c in coords if c == zero)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
 def test_scalar_multiplies_alike_on_either_side(spec, data):
     fld = parse_field(spec)
     n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))

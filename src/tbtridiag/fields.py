@@ -3,7 +3,8 @@
 Every element is an immutable value in canonical form, so ``==`` is structural
 equality and results are reproducible byte for byte.  Supported fields:
 
-* ``QQ`` -- the rational numbers (reduced fractions),
+* ``QQ`` -- the rational numbers, raw values reduced int pairs ``(n, d)``
+  with ``d > 0`` and zero ``(0, 1)`` (a ``Fraction`` is accepted as input),
 * ``PrimeField(p)`` -- integers mod a prime, canonical residue in ``[0, p)``,
 * ``QuadraticExtension(base, d)`` -- ``base(sqrt(d))`` for a nonsquare ``d``.
 
@@ -24,7 +25,7 @@ back (``_from_integers(num, den)``).
 
 import re
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import DivisionByZero, FieldMismatch, ParseError
@@ -80,7 +81,7 @@ class FieldElement:
 
     def _coerced(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(f"{other.field} element used in {self.field}")
             return other.value
         if isinstance(other, int):
@@ -140,7 +141,8 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
+            return ((self.field is other.field or self.field == other.field)
+                    and self.value == other.value)
         if isinstance(other, int):
             return self.value == self.field._from_int(other)
         return NotImplemented
@@ -180,7 +182,7 @@ class Field:
     def __call__(self, x):
         """Coerce an int, string, or element of this field."""
         if isinstance(x, FieldElement):
-            if x.field != self:
+            if x.field is not self and x.field != self:
                 raise FieldMismatch(f"{x.field} element used in {self}")
             return x
         if isinstance(x, int):
@@ -203,7 +205,7 @@ class Field:
         return FieldElement(self, self._parse_raw(text.strip()))
 
     def encode(self, elem):
-        if elem.field != self:
+        if elem.field is not self and elem.field != self:
             raise FieldMismatch("element of a different field")
         return self._encode_raw(elem.value)
 
@@ -245,59 +247,73 @@ class Field:
 
 
 class RationalField(Field):
-    """The field of rational numbers; raw values are Fractions."""
+    """The field of rational numbers; raw values are reduced int pairs (n, d), d > 0."""
 
     characteristic = 0
-    _zero_raw = Fraction(0)
-    _one_raw = Fraction(1)
+    _zero_raw = (0, 1)
+    _one_raw = (1, 1)
 
     def __call__(self, x):
-        if isinstance(x, Fraction):
-            return FieldElement(self, x)
-        return super().__call__(x)
+        if isinstance(x, FieldElement) or not isinstance(x, Fraction):
+            return super().__call__(x)
+        return FieldElement(self, (x.numerator, x.denominator))
 
     def _from_int(self, n):
-        return Fraction(n)
+        return int(n), 1        # int(): a bool encodes as 1, not True
 
     def _add(self, u, v):
-        return u + v
+        (a, b), (c, d) = u, v
+        n, m = a * d + b * c, b * d
+        g = gcd(n, m)
+        return n // g, m // g
 
     def _sub(self, u, v):
-        return u - v
+        (a, b), (c, d) = u, v
+        n, m = a * d - b * c, b * d
+        g = gcd(n, m)
+        return n // g, m // g
 
     def _mul(self, u, v):
-        return u * v
+        # cross-gcd rule (Knuth, TAOCP 4.5.1): a/b * c/d with gcd(a, d) and
+        # gcd(c, b) cancelled is already reduced; zero is (0, 1) because b = 1
+        (a, b), (c, d) = u, v
+        g, h = gcd(a, d), gcd(c, b)
+        return (a // g) * (c // h), (b // h) * (d // g)
 
     def _neg(self, u):
-        return -u
+        return -u[0], u[1]
 
     def _inv(self, u):
-        if u == 0:
+        a, b = u
+        if not a:
             raise DivisionByZero("1/0 in Q")
-        return 1 / u
+        return (b, a) if a > 0 else (-b, -a)
 
     def _matmul(self, rows, cols):
         # Integer dot products over each operand's common denominator, then
-        # one Fraction per nonzero entry; a zero entry is the shared zero.
+        # one reduction per nonzero entry; a zero entry is the shared zero.
         a, da = self._integer_view(rows)
         b, db = self._integer_view(cols)
-        den, zero = da * db, self._zero_raw
-        return [[Fraction(s, den) if s else zero for s in [sum(map(mul, r, c)) for c in b]]
+        den, val, zero = da * db, self._from_integers, self._zero_raw
+        return [[val(s, den) if s else zero for s in [sum(map(mul, r, c)) for c in b]]
                 for r in a]
 
     def _integer_view(self, vecs):
-        """Fraction vectors as int vectors over one common denominator."""
-        den = lcm(*{f.denominator for v in vecs for f in v})
-        return [[f.numerator * (den // f.denominator) for f in v] for v in vecs], den
+        """Rational vectors as int vectors over one common denominator."""
+        den = lcm(*{d for v in vecs for _, d in v})
+        return [[n * (den // d) for n, d in v] for v in vecs], den
 
     def _integer_pair(self, a, b):
-        return (a.numerator * b.denominator, b.numerator * a.denominator,
-                a.denominator * b.denominator)
+        return a[0] * b[1], b[0] * a[1], a[1] * b[1]
 
-    _from_integers = Fraction        # Fraction(num, den), reduced
+    def _from_integers(self, num, den):
+        """num/den reduced, for den > 0."""
+        g = gcd(num, den)
+        return num // g, den // g
 
     def _encode_raw(self, v):
-        return str(v)
+        n, d = v
+        return str(n) if d == 1 else f"{n}/{d}"
 
     def _parse_raw(self, text):
         if not _RATIONAL.fullmatch(text):
@@ -305,21 +321,24 @@ class RationalField(Field):
                              "optionally with a leading -")
         num, _, den = text.partition("/")
         try:
-            return Fraction(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError) as exc:
+            n, d = int(num), int(den or 1)
+        except ValueError as exc:
             raise ParseError(f"bad rational {text!r}: {exc}") from None
+        if not d:       # in the words Fraction(n, 0) raised them
+            raise ParseError(f"bad rational {text!r}: Fraction({n}, 0)")
+        return self._from_integers(n, d)
 
     def _sqrt_raw(self, v):
-        if v < 0:
+        n, d = v
+        if n < 0:
             return None
-        n, d = v.numerator, v.denominator
         rn, rd = isqrt(n), isqrt(d)
         if rn * rn == n and rd * rd == d:
-            return Fraction(rn, rd)
+            return rn, rd
         return None
 
     def _nonneg_raw(self, v):
-        return v >= 0
+        return v[0] >= 0
 
     def descriptor(self):
         return "Q"
@@ -598,7 +617,7 @@ class QuadraticExtension(Field):
 
     def descriptor(self):
         if isinstance(self.base, RationalField):
-            if self.d.value == Fraction(-1):
+            if self.d == -1:
                 return "Q(i)"
             return f"Q(sqrt:{self.base._encode_raw(self.d.value)})"
         if isinstance(self.base, PrimeField):

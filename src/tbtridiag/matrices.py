@@ -1,13 +1,13 @@
 """Dense exact matrices over any supported field.
 
 A matrix is immutable: its field and one tuple of row tuples of the field's
-raw values (a ``Fraction`` over Q, a residue ``int`` over F_p, an ``(a, b)``
-pair over a quadratic extension; see fields.py).  Every operation runs on those
-values through the field's raw kernels (``_add``, ``_sub``, ``_neg``,
-``_mul``, ``_matmul``, ``_sub_scaled``), and equality, hashing, transposition
-and the zero test compare the raw tuples; all are exact.  Entries are
-``FieldElement``s only at the API: ``m[i, j]`` and ``rows`` box them, and
-``Matrix(field, rows)`` coerces its input.  The spectral toolkit:
+raw values (a reduced int pair ``(n, d)`` over Q, a residue ``int`` over F_p,
+an ``(a, b)`` pair over a quadratic extension; see fields.py).  Every
+operation runs on those values through the field's raw kernels (``_add``,
+``_sub``, ``_neg``, ``_mul``, ``_matmul``, ``_sub_scaled``), and equality,
+hashing, transposition and the zero test compare the raw tuples; all are
+exact.  Entries are ``FieldElement``s only at the API: ``m[i, j]`` and
+``rows`` box them, and ``Matrix(field, rows)`` coerces its input.  The spectral toolkit:
 ``poly_chain``, the one way the package forms (x - r_0 I) ... (x - r_{i-1} I);
 ``spectral_sum``, the one way it forms t_0 X_0 + ... + t_d X_d, as a single
 kernel product; primitive idempotents; and the dimension of a generated unital
@@ -26,7 +26,7 @@ from math import gcd
 
 from .errors import (DimensionMismatch, DuplicateEigenvalue, FieldMismatch,
                      NotAnnihilated, Singular)
-from .fields import FieldElement, RationalField
+from .fields import QQ, FieldElement, RationalField
 
 
 class Matrix:
@@ -411,12 +411,8 @@ class _ExactIntEchelon:
             return None
         return [v // g for v in vec]
 
-    def add(self, fracs):
-        den = 1
-        for f in fracs:
-            d = f.denominator
-            den = den * d // gcd(den, d)
-        vec = [f.numerator * (den // f.denominator) for f in fracs]
+    def add(self, raw):
+        (vec,), _ = QQ._integer_view([raw])
         vec = self._strip_content(vec)
         if vec is None:
             return False

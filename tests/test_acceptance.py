@@ -84,8 +84,8 @@ def test_criterion_02_golden_tables():
         assert inters.c == (QQ(h) / 2, QQ(h)) and inters.b == (QQ(h), QQ(h) / 2)
     k3 = generate_family(QQ, Family.KRAWTCHOUK, 3)
     inters = intersection_numbers(k3)
-    assert [v.value for v in inters.c] == [1, 2, 3]
-    assert [v.value for v in inters.b] == [3, 2, 1]
+    assert list(inters.c) == list(map(QQ, [1, 2, 3]))
+    assert list(inters.b) == list(map(QQ, [3, 2, 1]))
     seq = aw_sequence(k3, QQ(2))
     assert seq.rho == QQ(4) and seq.rho_star == QQ(4)
     qr3 = generate_family(QQ, Family.QRACAH_ODD, 3, q=2)

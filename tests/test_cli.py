@@ -359,6 +359,33 @@ def test_rational_outside_the_grammar_rejected(capsys, tmp_path, text):
     assert code == 2 and "ParseError" in err and out == ""
 
 
+def _int_error(text):
+    """The text int() raises for text, or None where it reads it."""
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1/0", "Fraction(1, 0)"),
+    ("-007/0", "Fraction(-7, 0)"),
+    ("1" * 4301, _int_error("1" * 4301)),
+])
+def test_rational_error_texts_are_pinned(capsys, tmp_path, text, reason):
+    # the texts Fraction(n, 0) and int() gave when Q's raw values were
+    # Fractions; the second is the interpreter's own digit-limit text
+    if reason is None:
+        pytest.skip("this Python has no limit on int digits")
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"field": "Q", "d": 2, "theta": [text, "0", "-10"],
+                                "theta_star": ["10", "0", "-10"]}))
+    code, out, err = run(capsys, "verify", "-i", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"ParseError: bad rational {text!r}: {reason}\n"
+
+
 def test_residue_outside_the_grammar_rejected(capsys, tmp_path):
     # int() reads "1_0" as 10, and the array would then fail to verify
     path = tmp_path / "arr.json"

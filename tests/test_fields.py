@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from tbtridiag.fields import (QQ, PrimeField, QuadraticExtension, QQi,
                               is_prime, least_nonresidue, parse_field, sort_key)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=30)
+wide_rationals = st.one_of(st.just(Fraction(0)), st.fractions(), rationals)
 
 
 def test_rational_arithmetic():
@@ -19,6 +21,87 @@ def test_rational_arithmetic():
     assert QQ(2) ** -3 == QQ(Fraction(1, 8))
     assert QQ(0) ** 0 == QQ.one
     assert (-QQ(4)) + 4 == QQ.zero
+
+
+def _pair(f):
+    return f.numerator, f.denominator
+
+
+def _is_pair_of(v, f):
+    """v is the canonical raw value of the Fraction f: two ints, gcd 1,
+    denominator > 0, so zero is (0, 1)."""
+    n, d = v
+    return (type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
+            and v == _pair(f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_rationals, wide_rationals, st.integers())
+def test_rational_kernels_match_fraction(a, b, n):
+    u, v = _pair(a), _pair(b)
+    assert _is_pair_of(QQ._from_int(n), Fraction(n))
+    assert _is_pair_of(QQ._add(u, v), a + b)
+    assert _is_pair_of(QQ._sub(u, v), a - b)
+    assert _is_pair_of(QQ._mul(u, v), a * b)
+    assert _is_pair_of(QQ._neg(u), -a)
+    assert _is_pair_of(QQ._sub_scaled([u], v, [u])[0], a - b * a)
+    assert _is_pair_of(QQ._powraw(u, 3), a ** 3)
+    if b:
+        assert _is_pair_of(QQ._inv(v), 1 / b)
+    assert QQ._nonneg_raw(u) == (a >= 0)
+    x, y, den = QQ._integer_pair(u, v)
+    assert den > 0 and (Fraction(x, den), Fraction(y, den)) == (a, b)
+    assert _is_pair_of(QQ._from_integers(x, den), a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(), st.integers(min_value=1))
+def test_rational_from_integers_reduces(num, den):
+    assert _is_pair_of(QQ._from_integers(num, den), Fraction(num, den))
+
+
+def test_rational_kernel_edge_values():
+    assert QQ._from_integers(0, 7) == QQ._zero_raw == (0, 1)
+    assert QQ._from_integers(-6, 4) == (-3, 2)
+    assert QQ._inv((-3, 4)) == (-4, 3) and QQ._inv((-1, 1)) == (-1, 1)
+    assert QQ._mul((0, 1), (-3, 4)) == QQ._mul((5, 2), (0, 1)) == (0, 1)
+    assert QQ._add((1, 2), (-1, 2)) == (0, 1)
+    assert QQ(True).value == (1, 1) and type(QQ(True).value[0]) is int
+    with pytest.raises(DivisionByZero):
+        QQ._inv((0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_rationals, wide_rationals)
+def test_rational_sqrt_matches_fraction(a, b):
+    assert _is_pair_of(QQ._sqrt_raw(_pair(a * a)), abs(a))
+    if a:
+        assert QQ._sqrt_raw(_pair(-a * a)) is None
+        assert QQ._sqrt_raw(_pair(2 * a * a)) is None
+    r = QQ._sqrt_raw(_pair(b))
+    assert r is None or _is_pair_of(r, Fraction(*r)) and r[0] >= 0 and Fraction(*r) ** 2 == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rational_matmul_matches_fraction(data):
+    n, m, k = (data.draw(st.integers(1, 4)) for _ in range(3))
+    x = [[data.draw(wide_rationals) for _ in range(m)] for _ in range(n)]
+    cols = [[data.draw(wide_rationals) for _ in range(m)] for _ in range(k)]
+    got = QQ._matmul([list(map(_pair, r)) for r in x], [list(map(_pair, c)) for c in cols])
+    want = [[sum((p * q for p, q in zip(r, c)), Fraction(0)) for c in cols] for r in x]
+    assert all(_is_pair_of(g, w) for gr, wr in zip(got, want) for g, w in zip(gr, wr))
+    ints, den = QQ._integer_view([list(map(_pair, r)) for r in x])
+    assert den > 0 and [[Fraction(v, den) for v in r] for r in ints] == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_rationals, st.integers(), st.integers(min_value=1))
+def test_rational_encode_and_parse_match_fraction(a, num, den):
+    text = QQ._encode_raw(_pair(a))
+    assert text == str(a)
+    assert _is_pair_of(QQ._parse_raw(text), a)
+    assert _is_pair_of(QQ._parse_raw(f"{num}/{den}"), Fraction(num, den))
 
 
 def test_rational_division_by_zero():
@@ -254,7 +337,7 @@ def test_rational_grammar_accepts_the_documented_forms():
     assert QQ.parse("-12/8") == QQ(Fraction(-3, 2))
     assert QQ.parse(" 7 ") == QQ(7)
     assert QQ.parse("-0") == QQ.zero
-    assert type(QQ.parse("4/2").value) is Fraction
+    assert QQ.parse("4/2").value == QQ(2).value     # stored reduced
 
 
 @pytest.mark.parametrize("text", ["1_0", "+5", "٣", "1e1", "0x10", "5.0", "-",

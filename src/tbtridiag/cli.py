@@ -165,7 +165,7 @@ def _complete_triple(system, sc):
     tri = build_C(system, sc)
     w = build_W(tri)
     inv = spectral_inverses(tri, w)
-    report = combine(braid_check(w),
+    report = combine(braid_check(w, inv),
                      antiautomorphism_report(system, tri, w, inv),
                      sigma_and_psl2z(system, tri, w, inv))
     return tri, w, report

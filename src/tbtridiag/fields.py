@@ -413,9 +413,12 @@ class PrimeField(Field):
             raise ParseError(f"bad residue {text!r}: expected n or n mod {self.p}, "
                              "optionally with a leading -")
         body, modulus = m.groups()
-        if modulus is not None and int(modulus) != self.p:
-            raise ParseError(f"{text!r} is not an element of F{self.p}")
-        return int(body) % self.p
+        try:    # int() refuses more digits than the interpreter's limit
+            if modulus is not None and int(modulus) != self.p:
+                raise ParseError(f"{text!r} is not an element of F{self.p}")
+            return int(body) % self.p
+        except ValueError as exc:
+            raise ParseError(f"bad residue {text!r}: {exc}") from None
 
     def is_square(self, v):
         return v == 0 or pow(v, (self.p - 1) // 2, self.p) == 1

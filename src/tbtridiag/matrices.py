@@ -291,6 +291,9 @@ class RankOneFamily:
     def __init__(self, field, u, w, norms):
         self.field, self.u, self.w, self.norms = field, u, w, norms
 
+    def __len__(self):
+        return len(self.u)
+
     def __getitem__(self, i):
         fld = self.field
         mul, scale = fld._mul, fld._inv(self.norms[i])

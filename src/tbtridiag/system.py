@@ -281,24 +281,28 @@ def verify_axioms(sys):
 
 
 def verify_aw_relations(sys, seq):
-    """Check both Askey-Wilson relations, plus the d = 1 and d = 2 degenerations."""
+    """Check both Askey-Wilson relations, plus the d = 1 and d = 2 degenerations.
+    AB and BA are formed once and every cubic word is one more product with
+    them, such as A^2 B = A (AB): 8 products in all."""
     rb = ReportBuilder()
     A, B = sys.A, sys.A_star
     beta, rho, rho_star = seq.beta, seq.rho, seq.rho_star
+    AB, BA = A * B, B * A
+    ABA, BAB = AB * A, BA * B
     rb.matrices_equal("A^2 A* - beta A A* A + A* A^2 = rho A*",
-                      A * A * B - beta * (A * B * A) + B * A * A, B * rho)
+                      A * AB - beta * ABA + BA * A, B * rho)
     rb.matrices_equal("A*^2 A - beta A* A A* + A A*^2 = rho* A",
-                      B * B * A - beta * (B * A * B) + A * B * B, A * rho_star)
+                      B * BA - beta * BAB + AB * B, A * rho_star)
     if sys.d == 1:
         fld = sys.field
         eye = identity(fld, 2)
-        rb.matrices_equal("A A* = -A* A", A * B, -(B * A))
+        rb.matrices_equal("A A* = -A* A", AB, -BA)
         rb.matrices_equal("A^2 = theta_0^2 I", A * A, eye * sys.array.theta[0] ** 2)
         rb.matrices_equal("A*^2 = theta*_0^2 I", B * B,
                           eye * sys.array.theta_star[0] ** 2)
     if sys.d == 2:
-        rb.matrix_zero("A A* A = 0", A * B * A)
-        rb.matrix_zero("A* A A* = 0", B * A * B)
+        rb.matrix_zero("A A* A = 0", ABA)
+        rb.matrix_zero("A* A A* = 0", BAB)
     return rb.build()
 
 
@@ -383,10 +387,10 @@ def involutions_check(sys):
     fld = sys.field
     n = sys.d + 1
     A, B, S, Ss = sys.A, sys.A_star, sys.S, sys.S_star
-    SB, BS = S * B, B * S
+    SA, SB, BS = S * A, S * B, B * S
     rb.matrices_equal("S^2 = I", S * S, identity(fld, n))
     squares = rb.matrices_equal("S*^2 = I", Ss * Ss, identity(fld, n))
-    rb.matrices_equal("S A = A S", S * A, A * S)
+    rb.matrices_equal("S A = A S", SA, A * S)
     rb.matrices_equal("S A* = -A* S", SB, -BS)
     rb.matrices_equal("S* A* = A* S*", Ss * B, B * Ss)
     negates = rb.matrices_equal("S* A = -A S*", Ss * A, -(A * Ss))
@@ -394,7 +398,7 @@ def involutions_check(sys):
     rb.record("S* E_i = E_{d-i} S*", squares and negates)
     rb.matrices_equal("S S* = (-1)^d S* S", S * Ss, Ss * S * fld(-1) ** sys.d)
     rb.matrix_zero("sum (-1)^i (E_i A* + A* E_i) = 0", SB + BS)
-    rb.matrices_equal("S A S = A of the reversed-dual relative", S * A * S,
+    rb.matrices_equal("S A S = A of the reversed-dual relative", SA * S,
                       _tridiagonal(fld, sys.inters.c, sys.inters.b, n))
     rb.matrices_equal("S A* S = A* of the reversed-dual relative",
                       SB * S, diagonal(fld, sys.array.theta_star[::-1]))

@@ -12,10 +12,20 @@ on A, B, C, W, W' and P; a dense image is formed only where such a fact fails.
 No report inverts a matrix by elimination: W^{-1} = sum t_i^{-1} E_i (one
 product of eigenvector factors, as W and W'' are), W'^{-1} = diag(t)^{-1}
 (B is diagonal, so W' = diag(t)) and P^{-1} = kappa^{-1} P^2 are each
-certified by one product against I; T^{-1} = W^{-1} W'^{-1} W^{-1} and
-(X^dagger)^{-1} = (X^{-1})^dagger follow.  Gauss-Jordan is the fallback for data that fails a
-certificate, such as a hand-built WData with a false kappa, so reports and
-Singular raises are those of dense inversion.
+certified against I, by one product or, for two diagonals, in O(n);
+T^{-1} = W^{-1} W'^{-1} W^{-1} and (X^dagger)^{-1} = (X^{-1})^dagger
+follow.  Gauss-Jordan is the fallback for data that fails a certificate,
+such as a hand-built WData with a false kappa, so reports and Singular
+raises are those of dense inversion.
+
+With exact inverses a conjugation is checked as an intertwining, which
+forms no dense product: sigma(X) = T X T^{-1} = Y iff T X = Y T, rho(X) =
+P^{-1} X P = Y iff X P = P Y, and ddagger(X) = W^{-1} X^dagger W = Y iff
+X^dagger W = W Y.  P^3 = c I iff P^2 = c P^{-1}, where c = (P^3)_00 is one
+dot product of P^2 and P; and T^{-2} is scalar iff T^2 is.  So P^2 and T
+are formed once per triple (SpectralInverses), and T^{-1} only where a
+report forms a dense image, which it does wherever such a decision is
+False, so verdicts and witnesses are those of the dense report.
 """
 
 import functools
@@ -24,6 +34,7 @@ from dataclasses import dataclass
 from .arrays import aw_sequence, fundamental_parameter, is_self_dual, ANY_BETA
 from .errors import (BetaInvalid, KappaMismatch, NoSquareRootInField,
                      NotSelfDual, RelationViolation, require)
+from .fields import FieldElement
 from .matrices import (Matrix, diagonal, identity, primitive_idempotents,
                        spectral_sum)
 from .recurrences import basis_asym, solve_q
@@ -211,7 +222,9 @@ def build_W(tri):
     w = spectral_elements(tri)
     W, W_prime, W_dprime, P, kappa = w.W, w.W_prime, w.W_dprime, w.P, w.kappa
     A, B, C = tri.A, tri.B, tri.C
-    require(A * W == W * A and B * W_prime == W_prime * B,
+    # two diagonals of one size commute
+    require(A * W == W * A and (_diagonals(B, W_prime) is not None
+                                or B * W_prime == W_prime * B),
             "W or W' does not commute with A or B")
     require(B * W == W * C and C * W_prime == W_prime * A,
             "W or W' does not intertwine")
@@ -221,55 +234,81 @@ def build_W(tri):
     return w
 
 
+def _diagonals(x, y):
+    """The diagonals of x and y as lists of raw values when both are square
+    diagonal matrices of one size over one field, else None."""
+    zero = x.field._zero_raw
+    if x.shape != y.shape or x.nrows != x.ncols or x.field != y.field or any(
+            v != zero for m in (x, y) for i, row in enumerate(m.raw)
+            for j, v in enumerate(row) if i != j):
+        return None
+    return [[row[i] for i, row in enumerate(m.raw)] for m in (x, y)]
+
+
 def _certified_inverse(x, candidate):
-    """candidate if x candidate = I (one product), else x^{-1} by Gauss-Jordan,
-    which raises Singular for a singular x.  For a square x a one-sided
+    """candidate if x candidate = I, else x^{-1} by Gauss-Jordan, which raises
+    Singular for a singular x.  The certificate is one product, or n entry
+    products when x and candidate are diagonal.  For a square x a one-sided
     inverse is two-sided."""
-    if candidate is not None and x * candidate == identity(x.field, x.nrows):
-        return candidate
+    if candidate is not None:
+        diags = _diagonals(x, candidate)
+        if diags is not None:
+            mul, one = x.field._mul, x.field._one_raw
+            certified = all(mul(a, b) == one for a, b in zip(*diags))
+        else:
+            certified = x * candidate == identity(x.field, x.nrows)
+        if certified:
+            return candidate
     return x.inverse()
 
 
-def _P_inverse(w):
+def _P_inverse(P, P_sq, kappa):
     """P^{-1} = kappa^{-1} P^2, since P^3 = kappa I."""
-    candidate = None if w.kappa.is_zero() else w.P * w.P * w.kappa.inverse()
-    return _certified_inverse(w.P, candidate)
+    return _certified_inverse(P, None if kappa.is_zero() else P_sq * kappa.inverse())
 
 
 @dataclass(frozen=True)
 class SpectralInverses:
-    """The inverses the reports take, with T = W W' W, formed once per triple."""
+    """The exact inverses the reports take, with P_sq = P P and T = W W' W,
+    each formed once per triple.  T_inv = W^{-1} W'^{-1} W^{-1} is formed on
+    each read, and only the reports' dense fallbacks read it."""
 
     W_inv: Matrix
     W_prime_inv: Matrix
+    P_sq: Matrix
     P_inv: Matrix
     T: Matrix
-    T_inv: Matrix
+
+    @property
+    def T_inv(self):
+        return self.W_inv * self.W_prime_inv * self.W_inv
 
 
 def spectral_inverses(tri, w):
-    """W^{-1}, W'^{-1}, P^{-1}, T and T^{-1} from the spectral data (see the
-    module docstring); T^{-1} = W^{-1} W'^{-1} W^{-1} follows by algebra."""
+    """W^{-1}, W'^{-1}, P^2, P^{-1} and T from the spectral data (see the
+    module docstring)."""
     t_inv = None if len(w.t) != tri.d + 1 or any(ti.is_zero() for ti in w.t) \
         else [ti.inverse() for ti in w.t]
     W_inv = _certified_inverse(w.W, t_inv and spectral_sum(tri.E, t_inv))
     Wp_inv = _certified_inverse(w.W_prime, t_inv and diagonal(tri.field, t_inv))
-    return SpectralInverses(W_inv, Wp_inv, _P_inverse(w),
-                            w.W * w.W_prime * w.W, W_inv * Wp_inv * W_inv)
+    P_sq = w.P * w.P
+    return SpectralInverses(W_inv, Wp_inv, P_sq, _P_inverse(w.P, P_sq, w.kappa),
+                            w.W * w.W_prime * w.W)
 
 
 def rho_automorphism(w, x):
     """The order-3 automorphism X -> P^{-1} X P cycling A -> B -> C -> A."""
-    return _P_inverse(w) * x * w.P
+    return _P_inverse(w.P, w.P * w.P, w.kappa) * x * w.P
 
 
-def braid_check(w):
+def braid_check(w, inv=None):
     """Braid relations among W, W', W'' and the three factorizations of P;
-    W'W, W''W' and WW'' are formed once, as (XY)X = X(YX)."""
+    W'W, W''W' and WW'' are formed once, as (XY)X = X(YX).  inv is
+    spectral_inverses(tri, w) if the caller has formed it; its T is W W' W."""
     rb = ReportBuilder()
     a, b, c = w.W, w.W_prime, w.W_dprime
     ba, cb, ac = b * a, c * b, a * c
-    rb.matrices_equal("W W' W = W' W W'", a * ba, ba * b)
+    rb.matrices_equal("W W' W = W' W W'", a * ba if inv is None else inv.T, ba * b)
     rb.matrices_equal("W' W'' W' = W'' W' W''", b * cb, cb * c)
     rb.matrices_equal("W W'' W = W'' W W''", ac * a, c * ac)
     rb.matrices_equal("P = W' W", w.P, ba)
@@ -325,6 +364,16 @@ def _is_scalar(m):
                                 for i, row in enumerate(m.raw) for j, v in enumerate(row))
 
 
+def _P_cubed_is_scalar(w, inv):
+    """Whether P^3 is a nonzero scalar.  inv.P_inv is exact, so P^3 = c I iff
+    P^2 = c P^{-1}, and then c = (P^3)_00, row 0 of P^2 times column 0 of P:
+    one dot product and an entrywise comparison.  A False forms P^3."""
+    P, fld = w.P, w.P.field
+    c = fld._matmul([inv.P_sq.raw[0]], [[row[0] for row in P.raw]])[0][0]
+    return (c != fld._zero_raw and inv.P_sq == inv.P_inv * FieldElement(fld, c)
+            or _is_scalar(P * P * P))
+
+
 def antiautomorphism_report(sys, tri, w, inv=None):
     """Action tables and involutivity of the six antiautomorphisms.
 
@@ -332,7 +381,9 @@ def antiautomorphism_report(sys, tri, w, inv=None):
     its inverses are exact.  Four facts are settled first, with no other
     report's verdict: (F1) dagger fixes W and W' (the first two checks);
     (F2) rho: X -> P^-1 X P cycles A -> B -> C -> A (A P = P B, B P = P C,
-    C P = P A); (F3) P = W' W; (F4) P^3 is scalar.  Then:
+    C P = P A); (F3) P = W' W; (F4) P^3 is scalar, decided as P^2 = c P^-1
+    (_P_cubed_is_scalar).  The ddagger row is checked as X^dagger W = W Y,
+    which is W^-1 X^dagger W = Y.  Then:
     - By their twists, dagger' = rho o dagger o rho^-1 and dagger'' =
       rho^-1 o dagger o rho for any P, so the checks of that name are
       "rho(C) = A and rho(A) = B" and "rho(A) = B and rho(B) = C".  Under F2
@@ -359,15 +410,19 @@ def antiautomorphism_report(sys, tri, w, inv=None):
               rb.matrices_equal("dagger fixes W'", dag(w.W_prime), w.W_prime)])
     cyc = [X * P == P * Y for X, Y in zip(gens, (B, C, A))]
     f13 = f1 and P == w.W_prime * w.W
-    f4 = _is_scalar(P * P * P)
+    f4 = _P_cubed_is_scalar(w, inv)
     maps = functools.cache(
         lambda: _antiautomorphisms(dag, _twists(w, inv, dag(P), dag(Pinv))))
 
-    def family(name, base, expected, premise):
+    def family(name, base, expected, premise, intertwines=None):
         """Rows k = 0, 1, 2: base and its rho-conjugates; expected(k, i).
-        A True derived verdict stands; anything else is checked densely."""
-        got = [rb.matrices_equal(f"{name}({x})", base(X), expected(0, i))
-               for i, (x, X) in enumerate(zip("ABC", gens))]
+        Row 0 records a True intertwines(X, Y) and a True derived verdict
+        stands; anything else is checked densely."""
+        got = []
+        for i, (x, X) in enumerate(zip("ABC", gens)):
+            check, Y = f"{name}({x})", expected(0, i)
+            got.append(rb.record(check, True) if intertwines and intertwines(X, Y)
+                       else rb.matrices_equal(check, base(X), Y))
         for k in (1, 2):
             row = name + "'" * k
             for i, x in enumerate("ABC"):
@@ -397,14 +452,19 @@ def antiautomorphism_report(sys, tri, w, inv=None):
     # ddagger sends (A, B, C) to (A, C, B), ddagger' to (C, B, A) and
     # ddagger'' to (B, A, C)
     family("ddagger", _dagger_conjugation(dag, w.W, inv.W_inv),
-           lambda k, i: gens[(2 * k - i) % 3], all(cyc) and f13)
+           lambda k, i: gens[(2 * k - i) % 3], all(cyc) and f13,
+           lambda X, Y: dag(X) * w.W == w.W * Y)
 
     # Below, a True derived verdict short-circuits the dense one.
     # xi^2(X) = M^{-1} X M with M = (T^dagger)^{-1} T; identity iff M central
-    for name, t, t_inv in (("ddagger", w.W, inv.W_inv),
-                           ("ddagger'", inv.W_prime_inv, w.W_prime),
-                           ("ddagger''", inv.T, inv.T_inv)):
-        rb.record(f"{name}^2 = id", f1 or _is_scalar(dag(t_inv) * t))
+    names = ("ddagger^2 = id", "ddagger'^2 = id", "ddagger''^2 = id")
+    if f1:
+        for name in names:
+            rb.record(name, True)
+    else:
+        for name, t, t_inv in zip(names, (w.W, inv.W_prime_inv, inv.T),
+                                  (inv.W_inv, w.W_prime, inv.T_inv)):
+            rb.record(name, _is_scalar(dag(t_inv) * t))
     # Composing the antiautomorphisms with twists T2 then T1 conjugates by
     # M = (T2^dagger)^{-1} T1; rho itself conjugates by P, so each variant
     # must agree with P up to a central factor.
@@ -427,46 +487,74 @@ def antiautomorphism_report(sys, tri, w, inv=None):
     return rb.build()
 
 
+def _is_weighted_sum(x, family, t):
+    """Whether x = sum t_i X_i over the n members of family, formed as one
+    spectral_sum."""
+    return len(family) == len(t) == x.nrows and spectral_sum(family, t) == x
+
+
 def sigma_and_psl2z(sys, tri, w, inv=None):
     """The order-2 automorphism sigma and the modular-group action.
 
     sigma conjugates by T = W W' W and swaps A, B while sending C to its
-    dagger image.  Each family is the Lagrange polynomials p_i of A, B or C,
-    rho(p_i(X)) = p_i(rho(X)) and X = sum theta_i p_i(X); so rho cycles the
-    families exactly when it cycles A -> B -> C -> A.  rho^3 and sigma^2 are
-    checked on every matrix unit as "P^3 and T^2 are central", and the words
-    in r and s agree with their r^3 = s^2 = 1 normal forms exactly when both
-    are.  P^{-1} P P = P for any P with an exact inverse, and
-    spectral_inverses certifies P^{-1} by one product against I or forms it
-    by Gauss-Jordan, so "rho(P) = P" is recorded, not formed.  inv is
-    spectral_inverses(tri, w) if the caller has formed it.
+    dagger image; sigma(X) = Y is checked as T X = Y T and rho(X) = Y as
+    X P = P Y, as inv's inverses are exact.  Each family is the Lagrange
+    polynomials p_i of A, B or C (tri.E and tri.E_dprime are A's and C's, and
+    B = diag(theta) has the matrix units), rho(p_i(X)) = p_i(rho(X)) and X =
+    sum theta_i p_i(X); so rho cycles the families exactly when it cycles
+    A -> B -> C -> A.  So also, once W = sum t_i E_i, W' = diag(t) with B =
+    diag(theta) and W'' = sum t_i E''_i are checked, rho(W) = W' follows
+    rho(A) = B, rho(W') = W'' follows rho(B) = C, and rho(W'') = W follows
+    rho(C) = A.  rho^3 and sigma^2 are checked on every matrix unit as "P^3
+    and T^2 are central" (_P_cubed_is_scalar; T^-2 is central iff T^2 is),
+    and the words in r and s agree with their r^3 = s^2 = 1 normal forms
+    exactly when both are.  P^{-1} P P = P for any P with an exact inverse,
+    and spectral_inverses certifies P^{-1} by one product against I or forms
+    it by Gauss-Jordan, so "rho(P) = P" is recorded, not formed.  A False
+    decision forms the dense image, so verdicts and witnesses are those of
+    the dense report.  inv is spectral_inverses(tri, w) if the caller has
+    formed it.
     """
     rb = ReportBuilder()
     if inv is None:
         inv = spectral_inverses(tri, w)
     A, B, C = tri.A, tri.B, tri.C
-    T, Tinv = inv.T, inv.T_inv
-    sigma = lambda x: T * x * Tinv
+    T, P, Pinv = inv.T, w.P, inv.P_inv
 
-    rb.matrices_equal("sigma(A) = B", sigma(A), B)
-    rb.matrices_equal("sigma(B) = A", sigma(B), A)
-    rb.matrices_equal("sigma(C) = dagger(C)", sigma(C), dagger(sys, C))
+    def sigma_check(name, X, Y):
+        TX = T * X
+        return rb.record(name, True) if TX == Y * T else \
+            rb.matrices_equal(name, TX * inv.T_inv, Y)
 
-    P, Pinv = w.P, inv.P_inv
-    rho = lambda x: Pinv * x * P
-    cycles = [rb.matrices_equal("rho(A) = B", rho(A), B),
-              rb.matrices_equal("rho(B) = C", rho(B), C),
-              rb.matrices_equal("rho(C) = A", rho(C), A)]
+    def rho_check(name, X, Y, derived=False):
+        if derived:
+            return rb.record(name, True)
+        XP = X * P
+        return rb.record(name, True) if XP == P * Y else \
+            rb.matrices_equal(name, Pinv * XP, Y)
+
+    sigma_check("sigma(A) = B", A, B)
+    sigma_check("sigma(B) = A", B, A)
+    sigma_check("sigma(C) = dagger(C)", C, dagger(sys, C))
+
+    cycles = [rho_check("rho(A) = B", A, B),
+              rho_check("rho(B) = C", B, C),
+              rho_check("rho(C) = A", C, A)]
     rb.record("rho(P) = P", True)
     rb.record("rho cycles the idempotent families", all(cycles))
-    rb.matrices_equal("rho(W) = W'", rho(w.W), w.W_prime)
-    rb.matrices_equal("rho(W') = W''", rho(w.W_prime), w.W_dprime)
-    rb.matrices_equal("rho(W'') = W", rho(w.W_dprime), w.W)
+    fld, t = tri.field, w.t
+    W_sum = _is_weighted_sum(w.W, tri.E, t)
+    W_prime_diag = w.W_prime == diagonal(fld, t) and B == diagonal(fld, sys.array.theta)
+    W_dprime_sum = _is_weighted_sum(w.W_dprime, tri.E_dprime, t)
+    rho_check("rho(W) = W'", w.W, w.W_prime, cycles[0] and W_sum and W_prime_diag)
+    rho_check("rho(W') = W''", w.W_prime, w.W_dprime,
+              cycles[1] and W_prime_diag and W_dprime_sum)
+    rho_check("rho(W'') = W", w.W_dprime, w.W, cycles[2] and W_dprime_sum and W_sum)
 
     # Conjugation by M fixes every matrix unit iff M is a nonzero scalar:
     # the centraliser of the full matrix algebra is the scalars.
-    rho_cubed = _is_scalar(P * P * P)
-    sigma_squared = _is_scalar(Tinv * Tinv)
+    rho_cubed = _P_cubed_is_scalar(w, inv)
+    sigma_squared = _is_scalar(T * T) or _is_scalar(inv.T_inv * inv.T_inv)
     rb.record("rho^3 = id on all matrix units", rho_cubed)
     rb.record("sigma^2 = id on all matrix units", sigma_squared)
 

@@ -386,6 +386,22 @@ def test_rational_error_texts_are_pinned(capsys, tmp_path, text, reason):
     assert err == f"ParseError: bad rational {text!r}: {reason}\n"
 
 
+@pytest.mark.parametrize("spec", ["Fp:101", "Fp2:103", "Fp:1000003"])
+@pytest.mark.parametrize("text", ["1" * 4301, "1 mod " + "1" * 4301])
+def test_residue_past_the_int_digit_limit_is_a_parse_error(capsys, tmp_path, spec, text):
+    # the body or the modulus is longer than int() reads: ParseError and
+    # exit 2, as over Q, not a ValueError traceback
+    reason = _int_error("1" * 4301)
+    if reason is None:
+        pytest.skip("this Python has no limit on int digits")
+    path = tmp_path / "arr.json"
+    path.write_text(json.dumps({"field": spec, "d": 2, "theta": [text, "0", "-10"],
+                                "theta_star": ["10", "0", "-10"]}))
+    code, out, err = run(capsys, "verify", "-i", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"ParseError: bad residue {text!r}: {reason}\n"
+
+
 def test_residue_outside_the_grammar_rejected(capsys, tmp_path):
     # int() reads "1_0" as 10, and the array would then fail to verify
     path = tmp_path / "arr.json"

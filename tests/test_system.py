@@ -1290,3 +1290,66 @@ def test_verify_with_an_off_diagonal_a_star_takes_the_closure(capsys, tmp_path, 
     assert code == 1 and len(calls) == 1
     assert ("FAIL  A, A* generate the full matrix algebra  "
             f"[algebra dimension {expected} != 36]") in out.splitlines()
+
+
+def _dense_aw_relations(s, seq):
+    """verify_aw_relations as it formed every word left to right."""
+    rb = ReportBuilder()
+    A, B = s.A, s.A_star
+    rb.matrices_equal("A^2 A* - beta A A* A + A* A^2 = rho A*",
+                      A * A * B - seq.beta * (A * B * A) + B * A * A, B * seq.rho)
+    rb.matrices_equal("A*^2 A - beta A* A A* + A A*^2 = rho* A",
+                      B * B * A - seq.beta * (B * A * B) + A * B * B, A * seq.rho_star)
+    if s.d == 1:
+        eye = identity(s.field, 2)
+        rb.matrices_equal("A A* = -A* A", A * B, -(B * A))
+        rb.matrices_equal("A^2 = theta_0^2 I", A * A, eye * s.array.theta[0] ** 2)
+        rb.matrices_equal("A*^2 = theta*_0^2 I", B * B, eye * s.array.theta_star[0] ** 2)
+    if s.d == 2:
+        rb.matrix_zero("A A* A = 0", A * B * A)
+        rb.matrix_zero("A* A A* = 0", B * A * B)
+    return rb.build()
+
+
+def _counted_products(monkeypatch):
+    calls = []
+    real = Matrix.__mul__
+
+    def counted(x, y):
+        if isinstance(y, Matrix):
+            calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:101", "Q(i)"])
+def test_aw_relations_form_each_product_once(spec, monkeypatch):
+    # AB and BA once, then one product per cubic word: 12 -> 8 products, and
+    # the d = 1 checks add only A^2 and A*^2; a wrong rho keeps its witness
+    fld = parse_field(spec)
+    cases = [(Family.SMALL_D1, 1, {"h": 2}), (Family.SMALL_D2, 2, {"h": 3}),
+             (Family.KRAWTCHOUK, 3, {}), (Family.BANNAI_ITO, 4, {})]
+    for family, d, kwargs in cases:
+        s = build_system(generate_family(fld, family, d, **kwargs))
+        seq = aw_sequence_nonzero(s.array)
+        for seq in (seq, AskeyWilsonSeq(seq.beta, seq.rho + 1, seq.rho_star)):
+            expected = _dense_aw_relations(s, seq).to_dict()
+            calls = _counted_products(monkeypatch)
+            assert verify_aw_relations(s, seq).to_dict() == expected, (family, d)
+            assert len(calls) == (10 if d == 1 else 8), (family, d)
+            monkeypatch.undo()
+
+
+def test_involutions_check_reuses_S_A(k3, qr3, monkeypatch):
+    # S A S = (S A) S: 15 -> 14 products, the same report
+    for s in (k3, qr3):
+        calls = _counted_products(monkeypatch)
+        report = involutions_check(s)
+        assert len(calls) == 14
+        monkeypatch.undo()
+        assert report.passed, report.failures()
+        check = next(c for c in report if c.name.startswith("S A S ="))
+        assert check.passed == (s.S * s.A * s.S == system._tridiagonal(
+            s.field, s.inters.c, s.inters.b, s.d + 1))

@@ -403,9 +403,8 @@ def _counting_inverse(monkeypatch):
 
 
 def _dense_inverses(w):
-    T = w.W * w.W_prime * w.W
-    return triple.SpectralInverses(w.W.inverse(), w.W_prime.inverse(), w.P.inverse(),
-                                   T, T.inverse())
+    return triple.SpectralInverses(w.W.inverse(), w.W_prime.inverse(), w.P * w.P,
+                                   w.P.inverse(), w.W * w.W_prime * w.W)
 
 
 @pytest.mark.parametrize("case", GOLDEN_TRIPLES)
@@ -701,6 +700,37 @@ def _dense_antiautomorphism_report(sys, tri, w):
     return rb.build()
 
 
+def _dense_sigma_and_psl2z(sys, tri, w):
+    """sigma_and_psl2z as it was before it decided on intertwinings: every
+    image T X T^-1 and P^-1 X P formed, P^3 and T^-2 formed, and the
+    inverses by Gauss-Jordan."""
+    rb = ReportBuilder()
+    A, B, C, P = tri.A, tri.B, tri.C, w.P
+    T = w.W * w.W_prime * w.W
+    Tinv, Pinv = T.inverse(), P.inverse()
+    sigma = lambda x: T * x * Tinv
+    rb.matrices_equal("sigma(A) = B", sigma(A), B)
+    rb.matrices_equal("sigma(B) = A", sigma(B), A)
+    rb.matrices_equal("sigma(C) = dagger(C)", sigma(C), dagger(sys, C))
+    rho = lambda x: Pinv * x * P
+    cycles = [rb.matrices_equal("rho(A) = B", rho(A), B),
+              rb.matrices_equal("rho(B) = C", rho(B), C),
+              rb.matrices_equal("rho(C) = A", rho(C), A)]
+    rb.record("rho(P) = P", rho(P) == P)
+    rb.record(RHO_CYCLES, all(cycles))
+    rb.matrices_equal("rho(W) = W'", rho(w.W), w.W_prime)
+    rb.matrices_equal("rho(W') = W''", rho(w.W_prime), w.W_dprime)
+    rb.matrices_equal("rho(W'') = W", rho(w.W_dprime), w.W)
+    rho_cubed = triple._is_scalar(P * P * P)
+    sigma_squared = triple._is_scalar(Tinv * Tinv)
+    rb.record("rho^3 = id on all matrix units", rho_cubed)
+    rb.record("sigma^2 = id on all matrix units", sigma_squared)
+    witness = ("word ss != its normal form 1" if not sigma_squared
+               else "word rrr != its normal form 1" if not rho_cubed else None)
+    rb.record(WORDS_CHECK, witness is None, witness)
+    return rb.build()
+
+
 def _facts(system, tri, w):
     """F1-F4 of antiautomorphism_report, formed densely."""
     dag, P = dagger_map(system), w.P
@@ -737,6 +767,7 @@ def _tampered(system, tri, w, m, s, pos):
     yield "t perturbed", tri, dataclasses.replace(w, t=bad_t)
     yield "W, W', W'' of a perturbed t", tri, WData(
         t_W, t_Wp, spectral_sum(tri.E_dprime, bad_t), t_Wp * t_W, bad_t, w.kappa)
+    yield "W'' scaled", tri, dataclasses.replace(w, W_dprime=w.W_dprime * s)
     yield "W' conjugated", tri, dataclasses.replace(w, W_prime=W_prime)
     yield "W' conjugated, P = W' W", tri, dataclasses.replace(
         w, W_prime=W_prime, P=W_prime * w.W)
@@ -767,7 +798,11 @@ def test_antiautomorphism_report_matches_the_dense_report(golden_triples, data):
     for name, t, bad in _tampered(system, tri, w, m, s, pos):
         assert antiautomorphism_report(system, t, bad).to_dict() == \
             _dense_antiautomorphism_report(system, t, bad).to_dict(), name
-        assert braid_check(bad).to_dict() == _dense_braid_check(bad).to_dict(), name
+        assert sigma_and_psl2z(system, t, bad).to_dict() == \
+            _dense_sigma_and_psl2z(system, t, bad).to_dict(), name
+        dense_braid = _dense_braid_check(bad).to_dict()
+        assert braid_check(bad).to_dict() == dense_braid, name
+        assert braid_check(bad, triple.spectral_inverses(t, bad)).to_dict() == dense_braid, name
 
 
 def test_every_fact_and_a_derived_row_fail_in_some_tampering(golden_triples):
@@ -872,3 +907,154 @@ def test_ddagger_rows_follow_without_a_scalar_P_cubed(passing):
     rows = [c.passed for c in report if c.name.split("(")[0] in ("ddagger", "ddagger'",
                                                                     "ddagger''")]
     assert rows == [passing] * 9
+
+
+# ---------------------------------------------------------------------------
+# Each product formed once, and each decision that replaced a dense image
+# falling back to it wherever it is False
+# ---------------------------------------------------------------------------
+
+def _counting_products(monkeypatch):
+    """A list that gains one entry per matrix product: True when both
+    operands are dense, having more than 3n nonzero entries."""
+    products = []
+    real = Matrix.__mul__
+
+    def dense(m):
+        zero = m.field._zero_raw
+        return sum(v != zero for row in m.raw for v in row) > 3 * m.nrows
+
+    def mul(x, y):
+        if isinstance(y, Matrix):
+            products.append(dense(x) and dense(y))
+        return real(x, y)
+
+    monkeypatch.setattr(Matrix, "__mul__", mul)
+    return products
+
+
+@pytest.mark.parametrize("case", GOLDEN_TRIPLES)
+def test_a_passing_triple_forms_each_product_once(case, monkeypatch):
+    # 72 products, 31 of them dense, when P^2, P^3 and T^-1 were formed in
+    # each report and every conjugation as a dense image; the dagger shear
+    # (generic beta) and the twists P^dagger P, P P^dagger (beta = -2) add two
+    spec, family, d, q, beta = case
+    fld = parse_field(spec)
+    system = build_system(generate_family(fld, family, d, q=q))
+    sc = triple_scalars(system.array, None if beta is None else fld(beta))
+    products = _counting_products(monkeypatch)
+    tri = build_C(system, sc)
+    w = build_W(tri)
+    inv = triple.spectral_inverses(tri, w)
+    for report in (braid_check(w, inv), antiautomorphism_report(system, tri, w, inv),
+                   sigma_and_psl2z(system, tri, w, inv)):
+        assert report.passed, report.failures()
+    assert len(products) <= (56 if family is Family.KRAWTCHOUK else 58)
+    assert sum(products) <= 16
+
+
+def _decisions(system, tri, w, inv):
+    """Each decision the reports take in place of a dense image, evaluated
+    here on its own terms."""
+    A, B, C, P, T = tri.A, tri.B, tri.C, w.P, inv.T
+    fld, dag = tri.field, dagger_map(system)
+    c = (inv.P_sq * P)[0, 0]
+    return {
+        "sigma: T X = Y T": all(T * X == Y * T for X, Y in ((A, B), (B, A),
+                                                            (C, dagger(system, C)))),
+        "rho: X P = P Y": all(X * P == P * Y for X, Y in ((A, B), (B, C), (C, A))),
+        "ddagger: X^dagger W = W Y": all(dag(X) * w.W == w.W * Y
+                                         for X, Y in ((A, A), (B, C), (C, B))),
+        "W = sum t_i E_i": spectral_sum(tri.E, w.t) == w.W,
+        "W' = diag(t)": w.W_prime == diagonal(fld, w.t) and B == diagonal(
+            fld, system.array.theta),
+        "W'' = sum t_i E''_i": spectral_sum(tri.E_dprime, w.t) == w.W_dprime,
+        "P^2 = c P^-1": not c.is_zero() and inv.P_sq == inv.P_inv * c,
+        "T^2 is scalar": triple._is_scalar(T * T),
+    }
+
+
+def _dense_reports(system, tri, w):
+    return [r.to_dict() for r in (_dense_braid_check(w),
+                                  _dense_antiautomorphism_report(system, tri, w),
+                                  _dense_sigma_and_psl2z(system, tri, w))]
+
+
+def _all_reports(system, tri, w, inv):
+    return [r.to_dict() for r in (braid_check(w, inv),
+                                  antiautomorphism_report(system, tri, w, inv),
+                                  sigma_and_psl2z(system, tri, w, inv))]
+
+
+def _off_P_squared(inv):
+    """inv with P^2 != P P: one entry of P_sq changed."""
+    fld, n = inv.P_sq.field, inv.P_sq.nrows
+    unit = Matrix(fld, [[int((i, j) == (0, 0)) for j in range(n)] for i in range(n)])
+    return dataclasses.replace(inv, P_sq=inv.P_sq + unit)
+
+
+def test_each_decision_falls_back_to_the_dense_reports(golden_triples, monkeypatch):
+    # a scaled W'', P^2 != P P, a W' off the diagonal, a non-scalar T^2 (W
+    # scaled by a diagonal), and C, P or the generators moved, make each
+    # decision False somewhere; the reports then equal the dense ones
+    names, failed = set(), set()
+    for system, tri, w in golden_triples.values():
+        fld, n = tri.field, tri.d + 1
+        m = identity(fld, n) + Matrix(fld, [[int(j == i + 1) for j in range(n)]
+                                            for i in range(n)])
+        inv = triple.spectral_inverses(tri, w)
+        decisions = _decisions(system, tri, w, inv)
+        assert all(decisions.values())
+        names |= set(decisions)
+        cases = [(name, t, bad, triple.spectral_inverses(t, bad))
+                 for name, t, bad in _tampered(system, tri, w, m, fld(2), (0, 0))]
+        cases.append(("P^2 != P P", tri, w, _off_P_squared(inv)))
+        for name, t, bad, bad_inv in cases:
+            decisions = _decisions(system, t, bad, bad_inv)
+            failed |= {d for d, holds in decisions.items() if not holds}
+            assert _all_reports(system, t, bad, bad_inv) == _dense_reports(system, t, bad), name
+        # the P^2 decision falls back to forming P^3: two dense products more
+        products = _counting_products(monkeypatch)
+        rho_cubed = [c for c in sigma_and_psl2z(system, tri, w, inv)
+                     if c.name == "rho^3 = id on all matrix units"]
+        count = len(products)
+        assert rho_cubed == [c for c in sigma_and_psl2z(system, tri, w, _off_P_squared(inv))
+                             if c.name == "rho^3 = id on all matrix units"]
+        assert len(products) - count == count + 2
+        monkeypatch.undo()
+    assert failed == names
+
+
+def test_build_W_commutes_B_and_W_prime_densely_off_the_diagonal(golden_bi4):
+    from tbtridiag.errors import InvariantViolation
+
+    system, tri, w = golden_bi4
+    n = tri.d + 1
+    m = identity(QQ, n) + Matrix(QQ, [[int(j == i + 1) for j in range(n)] for i in range(n)])
+    bent = dataclasses.replace(tri, B=m * tri.B * m.inverse())
+    assert triple._diagonals(bent.B, w.W_prime) is None
+    assert bent.B * w.W_prime != w.W_prime * bent.B
+    with pytest.raises(InvariantViolation, match="W or W' does not commute with A or B"):
+        build_W(bent)
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:101", "Q(i)"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_diagonal_certificate_matches_the_product(spec, data):
+    fld = parse_field(spec)
+    n = data.draw(st.integers(1, 4))
+    entries = st.integers(-3, 3).map(fld)
+    x = diagonal(fld, [data.draw(entries) for _ in range(n)])
+    if data.draw(st.booleans()) and all(not v.is_zero() for v in (x[i, i] for i in range(n))):
+        candidate = diagonal(fld, [x[i, i].inverse() for i in range(n)])
+    else:
+        candidate = diagonal(fld, [data.draw(entries) for _ in range(n)])
+    certified = x * candidate == identity(fld, n)
+    try:
+        got = triple._certified_inverse(x, candidate)
+    except Singular:
+        assert not certified and any(x[i, i].is_zero() for i in range(n))
+        return
+    assert (got is candidate) == certified
+    assert got * x == identity(fld, n)

@@ -22,7 +22,7 @@ from .report import CheckResult, VerificationReport, combine
 from .system import (build_system, dagger_report, involutions_check,
                      verify_aw_relations, verify_axioms)
 from .triple import (antiautomorphism_report, braid_check, build_C, build_W,
-                     sigma_and_psl2z, spectral_inverses, triple_scalars)
+                     sigma_and_psl2z, triple_scalars)
 
 
 def _max_d():
@@ -164,10 +164,8 @@ def _complete_triple(system, sc):
     and its report."""
     tri = build_C(system, sc)
     w = build_W(tri)
-    inv = spectral_inverses(tri, w)
-    report = combine(braid_check(w, inv),
-                     antiautomorphism_report(system, tri, w, inv),
-                     sigma_and_psl2z(system, tri, w, inv))
+    report = combine(braid_check(w), antiautomorphism_report(system, tri, w),
+                     sigma_and_psl2z(system, tri, w))
     return tri, w, report
 
 

@@ -9,27 +9,27 @@ rho, sigma an action of the modular group PSL2(Z) (compare Curtin, "Modular
 Leonard triples", LAA 424, 2007).  What carries through these maps is decided
 on A, B, C, W, W' and P; a dense image is formed only where such a fact fails.
 
-No report inverts a matrix by elimination: W^{-1} = sum t_i^{-1} E_i (one
-product of eigenvector factors, as W and W'' are), W'^{-1} = diag(t)^{-1}
-(B is diagonal, so W' = diag(t)) and P^{-1} = kappa^{-1} P^2 are each
-certified against I, by one product or, for two diagonals, in O(n);
-T^{-1} = W^{-1} W'^{-1} W^{-1} and (X^dagger)^{-1} = (X^{-1})^dagger
-follow.  Gauss-Jordan is the fallback for data that fails a certificate,
-such as a hand-built WData with a false kappa, so reports and Singular
-raises are those of dense inversion.
+WData is the one record of a triple's spectral data.  When it is built it
+forms P^2 and T = W W' W once, and certifies three inverses against I:
+P^{-1} = kappa^{-1} P^2 (as P^3 = kappa I), W'^{-1} = diag(t)^{-1} (B is
+diagonal, so W' = diag(t)) and W^{-1} = P^{-1} W' (as P = W'W), by one
+product or, for two diagonals, in O(n).  T^{-1} = W^{-1} W'^{-1} W^{-1} and
+(X^dagger)^{-1} = (X^{-1})^dagger follow.  Gauss-Jordan is the fallback for
+data that fails a certificate, such as a hand-built WData with a false
+kappa, so the inverses, and a Singular raise for a singular W, W' or P, are
+those of dense inversion.  No report inverts a matrix.
 
 With exact inverses a conjugation is checked as an intertwining, which
 forms no dense product: sigma(X) = T X T^{-1} = Y iff T X = Y T, rho(X) =
 P^{-1} X P = Y iff X P = P Y, and ddagger(X) = W^{-1} X^dagger W = Y iff
 X^dagger W = W Y.  P^3 = c I iff P^2 = c P^{-1}, where c = (P^3)_00 is one
-dot product of P^2 and P; and T^{-2} is scalar iff T^2 is.  So P^2 and T
-are formed once per triple (SpectralInverses), and T^{-1} only where a
-report forms a dense image, which it does wherever such a decision is
-False, so verdicts and witnesses are those of the dense report.
+dot product of P^2 and P; and T^{-2} is scalar iff T^2 is.  T^{-1} is formed
+only where a report forms a dense image, which it does wherever such a
+decision is False, so verdicts and witnesses are those of the dense report.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arrays import aw_sequence, fundamental_parameter, is_self_dual, ANY_BETA
 from .errors import (BetaInvalid, KappaMismatch, NoSquareRootInField,
@@ -81,14 +81,51 @@ class LeonardTriple:
         return self.A.nrows - 1
 
 
+def _derived():
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class WData:
+    """A triple's spectral data.
+
+    The document fields, the ones a triple document stores, are given:
+    W, W', W'', P = W'W, the weights t and kappa with P^3 = kappa I.  The
+    derived fields are formed from them whenever a record is built, by the
+    constructor or by dataclasses.replace, and are not compared: P_sq = P P,
+    the exact inverses P_inv, W_prime_inv and W_inv (see the module
+    docstring) and T = W W' W.  T_inv is formed on each read.
+    """
+
     W: Matrix
     W_prime: Matrix
     W_dprime: Matrix
     P: Matrix
     t: tuple
     kappa: object
+    P_sq: Matrix = _derived()
+    P_inv: Matrix = _derived()
+    W_prime_inv: Matrix = _derived()
+    W_inv: Matrix = _derived()
+    T: Matrix = _derived()
+
+    def __post_init__(self):
+        P, W, W_prime, t, kappa = self.P, self.W, self.W_prime, self.t, self.kappa
+        P_sq = P * P
+        P_inv = _certified_inverse(
+            P, None if kappa.is_zero() else P_sq * kappa.inverse())
+        t_inv = None if len(t) != W_prime.nrows or any(ti.is_zero() for ti in t) \
+            else diagonal(W_prime.field, [ti.inverse() for ti in t])
+        derived = {"P_sq": P_sq, "P_inv": P_inv,
+                   "W_prime_inv": _certified_inverse(W_prime, t_inv),
+                   "W_inv": _certified_inverse(W, P_inv * W_prime),
+                   "T": W * W_prime * W}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def T_inv(self):
+        return self.W_inv * self.W_prime_inv * self.W_inv
 
 
 def triple_scalars(arr, beta=None):
@@ -217,7 +254,8 @@ def build_W(tri):
 
     The intertwining identities A W = W A, B W' = W' B, B W = W C, C W' = W' A
     and the three factorizations of P are checked (InvariantViolation); a
-    wrong kappa raises KappaMismatch.
+    wrong kappa raises KappaMismatch.  P^3 = kappa I is decided as kappa != 0
+    and P^{-1} = kappa^{-1} P^2, which forms no product as P^{-1} is exact.
     """
     w = spectral_elements(tri)
     W, W_prime, W_dprime, P, kappa = w.W, w.W_prime, w.W_dprime, w.P, w.kappa
@@ -229,7 +267,7 @@ def build_W(tri):
     require(B * W == W * C and C * W_prime == W_prime * A,
             "W or W' does not intertwine")
     require(P == W_dprime * W_prime == W * W_dprime, "the factorizations of P disagree")
-    if P * P * P != identity(tri.field, tri.d + 1) * kappa:
+    if kappa.is_zero() or w.P_inv != w.P_sq * kappa.inverse():
         raise KappaMismatch(f"P^3 != {kappa} I for case {tri.scalars.case}")
     return w
 
@@ -262,53 +300,19 @@ def _certified_inverse(x, candidate):
     return x.inverse()
 
 
-def _P_inverse(P, P_sq, kappa):
-    """P^{-1} = kappa^{-1} P^2, since P^3 = kappa I."""
-    return _certified_inverse(P, None if kappa.is_zero() else P_sq * kappa.inverse())
-
-
-@dataclass(frozen=True)
-class SpectralInverses:
-    """The exact inverses the reports take, with P_sq = P P and T = W W' W,
-    each formed once per triple.  T_inv = W^{-1} W'^{-1} W^{-1} is formed on
-    each read, and only the reports' dense fallbacks read it."""
-
-    W_inv: Matrix
-    W_prime_inv: Matrix
-    P_sq: Matrix
-    P_inv: Matrix
-    T: Matrix
-
-    @property
-    def T_inv(self):
-        return self.W_inv * self.W_prime_inv * self.W_inv
-
-
-def spectral_inverses(tri, w):
-    """W^{-1}, W'^{-1}, P^2, P^{-1} and T from the spectral data (see the
-    module docstring)."""
-    t_inv = None if len(w.t) != tri.d + 1 or any(ti.is_zero() for ti in w.t) \
-        else [ti.inverse() for ti in w.t]
-    W_inv = _certified_inverse(w.W, t_inv and spectral_sum(tri.E, t_inv))
-    Wp_inv = _certified_inverse(w.W_prime, t_inv and diagonal(tri.field, t_inv))
-    P_sq = w.P * w.P
-    return SpectralInverses(W_inv, Wp_inv, P_sq, _P_inverse(w.P, P_sq, w.kappa),
-                            w.W * w.W_prime * w.W)
-
-
 def rho_automorphism(w, x):
     """The order-3 automorphism X -> P^{-1} X P cycling A -> B -> C -> A."""
-    return _P_inverse(w.P, w.P * w.P, w.kappa) * x * w.P
+    return w.P_inv * x * w.P
 
 
-def braid_check(w, inv=None):
+def braid_check(w):
     """Braid relations among W, W', W'' and the three factorizations of P;
-    W'W, W''W' and WW'' are formed once, as (XY)X = X(YX).  inv is
-    spectral_inverses(tri, w) if the caller has formed it; its T is W W' W."""
+    W W' W is the record's T, and W'W, W''W' and WW'' are formed once, as
+    (XY)X = X(YX)."""
     rb = ReportBuilder()
     a, b, c = w.W, w.W_prime, w.W_dprime
     ba, cb, ac = b * a, c * b, a * c
-    rb.matrices_equal("W W' W = W' W W'", a * ba if inv is None else inv.T, ba * b)
+    rb.matrices_equal("W W' W = W' W W'", w.T, ba * b)
     rb.matrices_equal("W' W'' W' = W'' W' W''", b * cb, cb * c)
     rb.matrices_equal("W W'' W = W'' W W''", ac * a, c * ac)
     rb.matrices_equal("P = W' W", w.P, ba)
@@ -337,18 +341,17 @@ def antiautomorphisms(sys, tri, w):
     """The maps X -> T^{-1} X^dagger T for T = I, P^dagger P, (P P^dagger)^{-1},
     W, W'^{-1}, W W' W."""
     dag = dagger_map(sys)
-    inv = spectral_inverses(tri, w)
-    return _antiautomorphisms(dag, _twists(w, inv, dag(w.P), dag(inv.P_inv)))
+    return _antiautomorphisms(dag, _twists(w, dag(w.P), dag(w.P_inv)))
 
 
-def _twists(w, inv, P_dag, P_inv_dag):
+def _twists(w, P_dag, P_inv_dag):
     """The pairs (T, T^{-1}) of dagger', dagger'', ddagger, ddagger' and
-    ddagger'', from the spectral inverses and the dagger images of P and
-    P^{-1}: (P^dagger P)^{-1} = P^{-1} (P^{-1})^dagger and
+    ddagger'', from w's inverses and the dagger images of P and P^{-1}:
+    (P^dagger P)^{-1} = P^{-1} (P^{-1})^dagger and
     (P P^dagger)^{-1} = (P^{-1})^dagger P^{-1}."""
-    P, P_inv = w.P, inv.P_inv
+    P, P_inv = w.P, w.P_inv
     return ((P_dag * P, P_inv * P_inv_dag), (P_inv_dag * P_inv, P * P_dag),
-            (w.W, inv.W_inv), (inv.W_prime_inv, w.W_prime), (inv.T, inv.T_inv))
+            (w.W, w.W_inv), (w.W_prime_inv, w.W_prime), (w.T, w.T_inv))
 
 
 def _antiautomorphisms(dag, twists):
@@ -364,21 +367,19 @@ def _is_scalar(m):
                                 for i, row in enumerate(m.raw) for j, v in enumerate(row))
 
 
-def _P_cubed_is_scalar(w, inv):
-    """Whether P^3 is a nonzero scalar.  inv.P_inv is exact, so P^3 = c I iff
+def _P_cubed_is_scalar(w):
+    """Whether P^3 is a nonzero scalar.  w.P_inv is exact, so P^3 = c I iff
     P^2 = c P^{-1}, and then c = (P^3)_00, row 0 of P^2 times column 0 of P:
-    one dot product and an entrywise comparison.  A False forms P^3."""
+    one dot product and an entrywise comparison."""
     P, fld = w.P, w.P.field
-    c = fld._matmul([inv.P_sq.raw[0]], [[row[0] for row in P.raw]])[0][0]
-    return (c != fld._zero_raw and inv.P_sq == inv.P_inv * FieldElement(fld, c)
-            or _is_scalar(P * P * P))
+    c = fld._matmul([w.P_sq.raw[0]], [[row[0] for row in P.raw]])[0][0]
+    return c != fld._zero_raw and w.P_sq == w.P_inv * FieldElement(fld, c)
 
 
-def antiautomorphism_report(sys, tri, w, inv=None):
+def antiautomorphism_report(sys, tri, w):
     """Action tables and involutivity of the six antiautomorphisms.
 
-    inv is spectral_inverses(tri, w) when the caller has formed it already;
-    its inverses are exact.  Four facts are settled first, with no other
+    w's inverses are exact.  Four facts are settled first, with no other
     report's verdict: (F1) dagger fixes W and W' (the first two checks);
     (F2) rho: X -> P^-1 X P cycles A -> B -> C -> A (A P = P B, B P = P C,
     C P = P A); (F3) P = W' W; (F4) P^3 is scalar, decided as P^2 = c P^-1
@@ -400,9 +401,7 @@ def antiautomorphism_report(sys, tri, w, inv=None):
     verdicts and witnesses are those of the dense report.
     """
     rb = ReportBuilder()
-    if inv is None:
-        inv = spectral_inverses(tri, w)
-    P, Pinv = w.P, inv.P_inv
+    P, Pinv = w.P, w.P_inv
     dag = dagger_map(sys)
     gens = A, B, C = tri.A, tri.B, tri.C
     sc = tri.scalars
@@ -410,9 +409,9 @@ def antiautomorphism_report(sys, tri, w, inv=None):
               rb.matrices_equal("dagger fixes W'", dag(w.W_prime), w.W_prime)])
     cyc = [X * P == P * Y for X, Y in zip(gens, (B, C, A))]
     f13 = f1 and P == w.W_prime * w.W
-    f4 = _P_cubed_is_scalar(w, inv)
+    f4 = _P_cubed_is_scalar(w)
     maps = functools.cache(
-        lambda: _antiautomorphisms(dag, _twists(w, inv, dag(P), dag(Pinv))))
+        lambda: _antiautomorphisms(dag, _twists(w, dag(P), dag(Pinv))))
 
     def family(name, base, expected, premise, intertwines=None):
         """Rows k = 0, 1, 2: base and its rho-conjugates; expected(k, i).
@@ -451,7 +450,7 @@ def antiautomorphism_report(sys, tri, w, inv=None):
         rb.record("dagger'' = dagger as maps", _is_scalar(P * P_dag))
     # ddagger sends (A, B, C) to (A, C, B), ddagger' to (C, B, A) and
     # ddagger'' to (B, A, C)
-    family("ddagger", _dagger_conjugation(dag, w.W, inv.W_inv),
+    family("ddagger", _dagger_conjugation(dag, w.W, w.W_inv),
            lambda k, i: gens[(2 * k - i) % 3], all(cyc) and f13,
            lambda X, Y: dag(X) * w.W == w.W * Y)
 
@@ -462,8 +461,8 @@ def antiautomorphism_report(sys, tri, w, inv=None):
         for name in names:
             rb.record(name, True)
     else:
-        for name, t, t_inv in zip(names, (w.W, inv.W_prime_inv, inv.T),
-                                  (inv.W_inv, w.W_prime, inv.T_inv)):
+        for name, t, t_inv in zip(names, (w.W, w.W_prime_inv, w.T),
+                                  (w.W_inv, w.W_prime, w.T_inv)):
             rb.record(name, _is_scalar(dag(t_inv) * t))
     # Composing the antiautomorphisms with twists T2 then T1 conjugates by
     # M = (T2^dagger)^{-1} T1; rho itself conjugates by P, so each variant
@@ -471,9 +470,9 @@ def antiautomorphism_report(sys, tri, w, inv=None):
     rb.record("rho = ddagger o ddagger'",
               f13 or _is_scalar(dag(w.W_prime) * w.W * Pinv))
     rb.record("rho = ddagger' o ddagger''",
-              f13 and f4 or _is_scalar(dag(inv.T_inv) * inv.W_prime_inv * Pinv))
+              f13 and f4 or _is_scalar(dag(w.T_inv) * w.W_prime_inv * Pinv))
     rb.record("rho = ddagger'' o ddagger",
-              f13 or _is_scalar(dag(inv.W_inv) * inv.T * Pinv))
+              f13 or _is_scalar(dag(w.W_inv) * w.T * Pinv))
 
     rb.record("dagger' = rho o dagger o rho^-1", cyc[2] and cyc[0])
     rb.record("dagger'' = rho^-1 o dagger o rho", cyc[0] and cyc[1])
@@ -483,7 +482,7 @@ def antiautomorphism_report(sys, tri, w, inv=None):
     rb.record("ddagger' = rho o ddagger o rho^-1",
               f13 and f4 or _is_scalar(dag(P) * w.W * P * w.W_prime))
     rb.record("ddagger'' = rho^-1 o ddagger o rho",
-              f13 and f4 or _is_scalar(dag(Pinv) * w.W * Pinv * inv.T_inv))
+              f13 and f4 or _is_scalar(dag(Pinv) * w.W * Pinv * w.T_inv))
     return rb.build()
 
 
@@ -493,12 +492,12 @@ def _is_weighted_sum(x, family, t):
     return len(family) == len(t) == x.nrows and spectral_sum(family, t) == x
 
 
-def sigma_and_psl2z(sys, tri, w, inv=None):
+def sigma_and_psl2z(sys, tri, w):
     """The order-2 automorphism sigma and the modular-group action.
 
     sigma conjugates by T = W W' W and swaps A, B while sending C to its
     dagger image; sigma(X) = Y is checked as T X = Y T and rho(X) = Y as
-    X P = P Y, as inv's inverses are exact.  Each family is the Lagrange
+    X P = P Y, as w's inverses are exact.  Each family is the Lagrange
     polynomials p_i of A, B or C (tri.E and tri.E_dprime are A's and C's, and
     B = diag(theta) has the matrix units), rho(p_i(X)) = p_i(rho(X)) and X =
     sum theta_i p_i(X); so rho cycles the families exactly when it cycles
@@ -509,22 +508,19 @@ def sigma_and_psl2z(sys, tri, w, inv=None):
     and T^2 are central" (_P_cubed_is_scalar; T^-2 is central iff T^2 is),
     and the words in r and s agree with their r^3 = s^2 = 1 normal forms
     exactly when both are.  P^{-1} P P = P for any P with an exact inverse,
-    and spectral_inverses certifies P^{-1} by one product against I or forms
-    it by Gauss-Jordan, so "rho(P) = P" is recorded, not formed.  A False
-    decision forms the dense image, so verdicts and witnesses are those of
-    the dense report.  inv is spectral_inverses(tri, w) if the caller has
-    formed it.
+    and WData certifies P^{-1} by one product against I or forms it by
+    Gauss-Jordan, so "rho(P) = P" is recorded, not formed.  A False decision
+    forms the dense image, so verdicts and witnesses are those of the dense
+    report.
     """
     rb = ReportBuilder()
-    if inv is None:
-        inv = spectral_inverses(tri, w)
     A, B, C = tri.A, tri.B, tri.C
-    T, P, Pinv = inv.T, w.P, inv.P_inv
+    T, P, Pinv = w.T, w.P, w.P_inv
 
     def sigma_check(name, X, Y):
         TX = T * X
         return rb.record(name, True) if TX == Y * T else \
-            rb.matrices_equal(name, TX * inv.T_inv, Y)
+            rb.matrices_equal(name, TX * w.T_inv, Y)
 
     def rho_check(name, X, Y, derived=False):
         if derived:
@@ -553,8 +549,8 @@ def sigma_and_psl2z(sys, tri, w, inv=None):
 
     # Conjugation by M fixes every matrix unit iff M is a nonzero scalar:
     # the centraliser of the full matrix algebra is the scalars.
-    rho_cubed = _P_cubed_is_scalar(w, inv)
-    sigma_squared = _is_scalar(T * T) or _is_scalar(inv.T_inv * inv.T_inv)
+    rho_cubed = _P_cubed_is_scalar(w)
+    sigma_squared = _is_scalar(T * T)
     rb.record("rho^3 = id on all matrix units", rho_cubed)
     rb.record("sigma^2 = id on all matrix units", sigma_squared)
 

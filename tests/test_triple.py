@@ -222,8 +222,7 @@ def test_antiautomorphism_report_generic_case():
 def test_twists_are_inverse_pairs(golden1, golden_bi4):
     for system, tri, w in (golden1, golden_bi4):
         eye = identity(system.field, system.d + 1)
-        inv = triple.spectral_inverses(tri, w)
-        twists = triple._twists(w, inv, dagger(system, w.P), dagger(system, inv.P_inv))
+        twists = triple._twists(w, dagger(system, w.P), dagger(system, w.P_inv))
         assert len(twists) == 5
         for t, t_inv in twists:
             assert t * t_inv == eye
@@ -402,51 +401,54 @@ def _counting_inverse(monkeypatch):
     return calls
 
 
-def _dense_inverses(w):
-    return triple.SpectralInverses(w.W.inverse(), w.W_prime.inverse(), w.P * w.P,
-                                   w.P.inverse(), w.W * w.W_prime * w.W)
+def _assert_dense_inverses(w):
+    """w's derived inverses are Gauss-Jordan's."""
+    assert (w.W_inv, w.W_prime_inv, w.P_inv) == \
+        (w.W.inverse(), w.W_prime.inverse(), w.P.inverse())
 
 
 @pytest.mark.parametrize("case", GOLDEN_TRIPLES)
 def test_W_prime_and_its_inverse_are_sums_over_the_units(case):
     system, tri, w = _golden(*case)
     units = _units(tri.field, tri.d + 1)
-    inv = triple.spectral_inverses(tri, w)
     assert w.W_prime == spectral_sum(units, w.t)
-    assert inv.W_prime_inv == spectral_sum(units, [t.inverse() for t in w.t])
+    assert w.W_prime_inv == spectral_sum(units, [t.inverse() for t in w.t])
 
 
 @pytest.mark.parametrize("case", GOLDEN_TRIPLES)
 def test_spectral_inverses_equal_gauss_jordan(case, monkeypatch):
     system, tri, w = _golden(*case)
     calls = _counting_inverse(monkeypatch)
-    inv = triple.spectral_inverses(tri, w)
-    assert rho_automorphism(w, tri.A) == tri.B
+    rebuilt = dataclasses.replace(w)
+    assert rho_automorphism(rebuilt, tri.A) == tri.B
     assert calls == []
-    assert inv == _dense_inverses(w)
+    _assert_dense_inverses(rebuilt)
     eye = identity(system.field, system.d + 1)
-    assert inv.W_inv * w.W == inv.P_inv * w.P == inv.T_inv * inv.T == eye
+    assert rebuilt.W_inv * w.W == rebuilt.P_inv * w.P == rebuilt.T_inv * rebuilt.T == eye
 
 
-def _reports(system, tri, w, inv=None):
-    return [r.to_dict() for r in (antiautomorphism_report(system, tri, w, inv),
-                                  sigma_and_psl2z(system, tri, w, inv))]
+def _reports(system, tri, w):
+    return [r.to_dict() for r in (antiautomorphism_report(system, tri, w),
+                                  sigma_and_psl2z(system, tri, w))]
 
 
 def _broken_wdata(w, fld, d):
+    """(changes, inversions): a record with the changes fails that many of
+    its certificates, each falling back to Gauss-Jordan."""
     scale = diagonal(fld, range(2, d + 3))
     t_plus_one = (w.t[0] + 1,) + w.t[1:]
     return [
-        # certificate fails: P^3 != kappa I, or kappa = 0
-        (dataclasses.replace(w, kappa=w.kappa + 1), 1),
-        (dataclasses.replace(w, kappa=fld.zero), 1),
-        # W and W' are no longer the spectral sums of t
-        (dataclasses.replace(w, t=t_plus_one), 2),
-        (dataclasses.replace(w, t=(fld.zero,) + w.t[1:]), 2),
-        (dataclasses.replace(w, t=w.t[1:]), 2),
-        # W, then P, not what the triple's other data say: the reports fail
-        (dataclasses.replace(w, W=scale * w.W), 1),
-        (dataclasses.replace(w, P=scale * w.P), 1),
+        # P's certificate fails: P^3 != kappa I, or kappa = 0
+        ({"kappa": w.kappa + 1}, 1),
+        ({"kappa": fld.zero}, 1),
+        # W' is no longer diag(t)
+        ({"t": t_plus_one}, 1),
+        ({"t": (fld.zero,) + w.t[1:]}, 1),
+        ({"t": w.t[1:]}, 1),
+        # W, then P, not what the triple's other data say: the reports fail.
+        # P = W'W fails, so W^{-1} != P^{-1} W'; a scaled P also fails its own
+        ({"W": scale * w.W}, 1),
+        ({"P": scale * w.P}, 2),
     ]
 
 
@@ -455,12 +457,17 @@ def test_false_wdata_falls_back_to_the_dense_reports(case, monkeypatch):
     system, tri, w = _golden(*case)
     good = _reports(system, tri, w)
     calls = _counting_inverse(monkeypatch)
-    for bad, fallbacks in _broken_wdata(w, system.field, system.d):
+    for changes, fallbacks in _broken_wdata(w, system.field, system.d):
         del calls[:]
+        bad = dataclasses.replace(w, **changes)
+        # the record inverts only what failed its certificate, the reports
+        # nothing
+        assert len(calls) == fallbacks
         derived = _reports(system, tri, bad)
-        # each report forms the inverses once, inverting only what failed
-        assert len(calls) == 2 * fallbacks
-        assert derived == _reports(system, tri, bad, _dense_inverses(bad))
+        assert len(calls) == fallbacks
+        _assert_dense_inverses(bad)
+        assert derived == [_dense_antiautomorphism_report(system, tri, bad).to_dict(),
+                           _dense_sigma_and_psl2z(system, tri, bad).to_dict()]
         if bad.W == w.W and bad.P == w.P:
             assert derived == good
 
@@ -471,22 +478,26 @@ def test_rho_fixes_P_with_any_exact_inverse(case):
     # oracle, with certified and with Gauss-Jordan inverses of true and
     # false WData
     system, tri, w = _golden(*case)
-    for ws in [w] + [bad for bad, _ in _broken_wdata(w, system.field, system.d)]:
-        for inv in (triple.spectral_inverses(tri, ws), _dense_inverses(ws)):
-            assert inv.P_inv * ws.P * ws.P == ws.P
-            check = next(c for c in sigma_and_psl2z(system, tri, ws, inv)
-                         if c.name == "rho(P) = P")
-            assert check.passed and check.witness is None
+    for changes in [{}] + [c for c, _ in _broken_wdata(w, system.field, system.d)]:
+        ws = dataclasses.replace(w, **changes)
+        assert ws.P_inv * ws.P * ws.P == ws.P
+        check = next(c for c in sigma_and_psl2z(system, tri, ws)
+                     if c.name == "rho(P) = P")
+        assert check.passed and check.witness is None
 
 
 def test_singular_wdata_raises_as_dense_inversion(golden_bi4):
+    # a record is built with its inverses, so a singular W, W' or P raises
+    # where it is built, as Gauss-Jordan does
     system, tri, w = golden_bi4
     zero = Matrix(QQ, [[0] * 5 for _ in range(5)])
-    for bad in (dataclasses.replace(w, W=zero), dataclasses.replace(w, W_prime=zero),
-                dataclasses.replace(w, P=zero)):
-        for report in (antiautomorphism_report, sigma_and_psl2z):
-            with pytest.raises(Singular, match="matrix is not invertible"):
-                report(system, tri, bad)
+    for name in ("W", "W_prime", "P"):
+        with pytest.raises(Singular, match="matrix is not invertible"):
+            dataclasses.replace(w, **{name: zero})
+        doc = {"W": w.W, "W_prime": w.W_prime, "W_dprime": w.W_dprime, "P": w.P,
+               "t": w.t, "kappa": w.kappa, name: zero}
+        with pytest.raises(Singular, match="matrix is not invertible"):
+            WData(**doc)
 
 
 RHO_CYCLES = "rho cycles the idempotent families"
@@ -500,8 +511,7 @@ def golden_triples():
 def _rho_cycles_loop(tri, w):
     """The verdict from the 6(d+1) products sigma_and_psl2z made before it
     decided it on A, B and C."""
-    inv = triple.spectral_inverses(tri, w)
-    rho = lambda x: inv.P_inv * x * w.P
+    rho = lambda x: w.P_inv * x * w.P
     E_prime = _units(tri.field, tri.d + 1)
     return all(rho(tri.E[i]) == E_prime[i]
                and rho(E_prime[i]) == tri.E_dprime[i]
@@ -626,11 +636,10 @@ def _dense_braid_check(w):
 
 def _dense_antiautomorphism_report(sys, tri, w):
     rb = ReportBuilder()
-    inv = triple.spectral_inverses(tri, w)
-    P, Pinv = w.P, inv.P_inv
+    P, Pinv = w.P, w.P_inv
     dag = dagger_map(sys)
     P_dag, P_dag_inv = dag(P), dag(Pinv)
-    twists = triple._twists(w, inv, P_dag, P_dag_inv)
+    twists = triple._twists(w, P_dag, P_dag_inv)
     (Pd_P, _), (_, P_Pd), _, _, _ = twists
     maps = triple._antiautomorphisms(dag, twists)
     A, B, C = tri.A, tri.B, tri.C
@@ -669,16 +678,16 @@ def _dense_antiautomorphism_report(sys, tri, w):
         rb.matrices_equal(f"{name}(B)", f(B), fb)
         rb.matrices_equal(f"{name}(C)", f(C), fc)
 
-    twists = (w.W, inv.W_prime_inv, inv.T)
-    twist_dag_invs = [dag(t_inv) for t_inv in (inv.W_inv, w.W_prime, inv.T_inv)]
+    twists = (w.W, w.W_prime_inv, w.T)
+    twist_dag_invs = [dag(t_inv) for t_inv in (w.W_inv, w.W_prime, w.T_inv)]
     for name, t, t_dag_inv in zip(("ddagger", "ddagger'", "ddagger''"),
                                   twists, twist_dag_invs):
         rb.record(f"{name}^2 = id", triple._is_scalar(t_dag_inv * t))
     W_dag_inv, Wp_inv_dag_inv, braid_dag_inv = twist_dag_invs
 
     comp1 = Wp_inv_dag_inv * w.W
-    comp2 = braid_dag_inv * inv.W_prime_inv
-    comp3 = W_dag_inv * inv.T
+    comp2 = braid_dag_inv * w.W_prime_inv
+    comp3 = W_dag_inv * w.T
     for name, m in (("rho = ddagger o ddagger'", comp1),
                     ("rho = ddagger' o ddagger''", comp2),
                     ("rho = ddagger'' o ddagger", comp3)):
@@ -695,7 +704,7 @@ def _dense_antiautomorphism_report(sys, tri, w):
     for name, m, t_inv in (
             ("ddagger' = rho o ddagger o rho^-1", P_dag * w.W * P, w.W_prime),
             ("ddagger'' = rho^-1 o ddagger o rho",
-             P_dag_inv * w.W * Pinv, inv.T_inv)):
+             P_dag_inv * w.W * Pinv, w.T_inv)):
         rb.record(name, triple._is_scalar(m * t_inv))
     return rb.build()
 
@@ -800,9 +809,7 @@ def test_antiautomorphism_report_matches_the_dense_report(golden_triples, data):
             _dense_antiautomorphism_report(system, t, bad).to_dict(), name
         assert sigma_and_psl2z(system, t, bad).to_dict() == \
             _dense_sigma_and_psl2z(system, t, bad).to_dict(), name
-        dense_braid = _dense_braid_check(bad).to_dict()
-        assert braid_check(bad).to_dict() == dense_braid, name
-        assert braid_check(bad, triple.spectral_inverses(t, bad)).to_dict() == dense_braid, name
+        assert braid_check(bad).to_dict() == _dense_braid_check(bad).to_dict(), name
 
 
 def test_every_fact_and_a_derived_row_fail_in_some_tampering(golden_triples):
@@ -936,8 +943,10 @@ def _counting_products(monkeypatch):
 @pytest.mark.parametrize("case", GOLDEN_TRIPLES)
 def test_a_passing_triple_forms_each_product_once(case, monkeypatch):
     # 72 products, 31 of them dense, when P^2, P^3 and T^-1 were formed in
-    # each report and every conjugation as a dense image; the dagger shear
-    # (generic beta) and the twists P^dagger P, P P^dagger (beta = -2) add two
+    # each report and every conjugation as a dense image, and 56 and 12 when
+    # build_W formed P^3 and a second record formed P^2 again; the dagger
+    # shear (generic beta) and the twists P^dagger P, P P^dagger (beta = -2)
+    # add two, the twists two dense
     spec, family, d, q, beta = case
     fld = parse_field(spec)
     system = build_system(generate_family(fld, family, d, q=q))
@@ -945,20 +954,19 @@ def test_a_passing_triple_forms_each_product_once(case, monkeypatch):
     products = _counting_products(monkeypatch)
     tri = build_C(system, sc)
     w = build_W(tri)
-    inv = triple.spectral_inverses(tri, w)
-    for report in (braid_check(w, inv), antiautomorphism_report(system, tri, w, inv),
-                   sigma_and_psl2z(system, tri, w, inv)):
+    for report in (braid_check(w), antiautomorphism_report(system, tri, w),
+                   sigma_and_psl2z(system, tri, w)):
         assert report.passed, report.failures()
-    assert len(products) <= (56 if family is Family.KRAWTCHOUK else 58)
-    assert sum(products) <= 16
+    assert len(products) <= (55 if family is Family.KRAWTCHOUK else 57)
+    assert sum(products) <= (12 if sc.case == "beta=-2" else 10)
 
 
-def _decisions(system, tri, w, inv):
+def _decisions(system, tri, w):
     """Each decision the reports take in place of a dense image, evaluated
     here on its own terms."""
-    A, B, C, P, T = tri.A, tri.B, tri.C, w.P, inv.T
+    A, B, C, P, T = tri.A, tri.B, tri.C, w.P, w.T
     fld, dag = tri.field, dagger_map(system)
-    c = (inv.P_sq * P)[0, 0]
+    c = (w.P_sq * P)[0, 0]
     return {
         "sigma: T X = Y T": all(T * X == Y * T for X, Y in ((A, B), (B, A),
                                                             (C, dagger(system, C)))),
@@ -969,7 +977,7 @@ def _decisions(system, tri, w, inv):
         "W' = diag(t)": w.W_prime == diagonal(fld, w.t) and B == diagonal(
             fld, system.array.theta),
         "W'' = sum t_i E''_i": spectral_sum(tri.E_dprime, w.t) == w.W_dprime,
-        "P^2 = c P^-1": not c.is_zero() and inv.P_sq == inv.P_inv * c,
+        "P^2 = c P^-1": not c.is_zero() and w.P_sq == w.P_inv * c,
         "T^2 is scalar": triple._is_scalar(T * T),
     }
 
@@ -980,49 +988,53 @@ def _dense_reports(system, tri, w):
                                   _dense_sigma_and_psl2z(system, tri, w))]
 
 
-def _all_reports(system, tri, w, inv):
-    return [r.to_dict() for r in (braid_check(w, inv),
-                                  antiautomorphism_report(system, tri, w, inv),
-                                  sigma_and_psl2z(system, tri, w, inv))]
+def _all_reports(system, tri, w):
+    return [r.to_dict() for r in (braid_check(w), antiautomorphism_report(system, tri, w),
+                                  sigma_and_psl2z(system, tri, w))]
 
 
-def _off_P_squared(inv):
-    """inv with P^2 != P P: one entry of P_sq changed."""
-    fld, n = inv.P_sq.field, inv.P_sq.nrows
-    unit = Matrix(fld, [[int((i, j) == (0, 0)) for j in range(n)] for i in range(n)])
-    return dataclasses.replace(inv, P_sq=inv.P_sq + unit)
-
-
-def test_each_decision_falls_back_to_the_dense_reports(golden_triples, monkeypatch):
-    # a scaled W'', P^2 != P P, a W' off the diagonal, a non-scalar T^2 (W
-    # scaled by a diagonal), and C, P or the generators moved, make each
-    # decision False somewhere; the reports then equal the dense ones
+def test_each_decision_falls_back_to_the_dense_reports(golden_triples):
+    # a scaled W'', a W' off the diagonal, a non-scalar T^2 (W scaled by a
+    # diagonal), a non-scalar P^3 (P scaled by a diagonal), and C, P or the
+    # generators moved, make each decision False somewhere; the reports then
+    # equal the dense ones
     names, failed = set(), set()
     for system, tri, w in golden_triples.values():
         fld, n = tri.field, tri.d + 1
         m = identity(fld, n) + Matrix(fld, [[int(j == i + 1) for j in range(n)]
                                             for i in range(n)])
-        inv = triple.spectral_inverses(tri, w)
-        decisions = _decisions(system, tri, w, inv)
+        decisions = _decisions(system, tri, w)
         assert all(decisions.values())
         names |= set(decisions)
-        cases = [(name, t, bad, triple.spectral_inverses(t, bad))
-                 for name, t, bad in _tampered(system, tri, w, m, fld(2), (0, 0))]
-        cases.append(("P^2 != P P", tri, w, _off_P_squared(inv)))
-        for name, t, bad, bad_inv in cases:
-            decisions = _decisions(system, t, bad, bad_inv)
+        for name, t, bad in _tampered(system, tri, w, m, fld(2), (0, 0)):
+            decisions = _decisions(system, t, bad)
             failed |= {d for d, holds in decisions.items() if not holds}
-            assert _all_reports(system, t, bad, bad_inv) == _dense_reports(system, t, bad), name
-        # the P^2 decision falls back to forming P^3: two dense products more
-        products = _counting_products(monkeypatch)
-        rho_cubed = [c for c in sigma_and_psl2z(system, tri, w, inv)
-                     if c.name == "rho^3 = id on all matrix units"]
-        count = len(products)
-        assert rho_cubed == [c for c in sigma_and_psl2z(system, tri, w, _off_P_squared(inv))
-                             if c.name == "rho^3 = id on all matrix units"]
-        assert len(products) - count == count + 2
-        monkeypatch.undo()
+            assert _all_reports(system, t, bad) == _dense_reports(system, t, bad), name
     assert failed == names
+
+
+def test_the_record_derives_its_fields_whenever_it_is_built(golden_triples):
+    # positional construction and dataclasses.replace both derive P^2, T and
+    # the exact inverses from the document fields, for true and false data
+    for system, tri, w in golden_triples.values():
+        fld, n = tri.field, tri.d + 1
+        eye = identity(fld, n)
+        m = identity(fld, n) + Matrix(fld, [[int(j == i + 1) for j in range(n)]
+                                            for i in range(n)])
+        records = [bad for _, _, bad in _tampered(system, tri, w, m, fld(2), (0, 0))]
+        records += [dataclasses.replace(w, **changes)
+                    for changes, _ in _broken_wdata(w, fld, tri.d)]
+        for r in records:
+            assert r.P * r.P_inv == r.W * r.W_inv == r.W_prime * r.W_prime_inv == eye
+            assert r.P_sq == r.P * r.P and r.T == r.W * r.W_prime * r.W
+            again = WData(r.W, r.W_prime, r.W_dprime, r.P, r.t, r.kappa)
+            assert again == r
+            assert (again.P_sq, again.P_inv, again.W_prime_inv, again.W_inv, again.T) == \
+                (r.P_sq, r.P_inv, r.W_prime_inv, r.W_inv, r.T)
+        # a record cannot hold P^2 != P P, nor an inverse it did not derive
+        for name in ("P_sq", "P_inv", "W_prime_inv", "W_inv", "T"):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(w, **{name: eye})
 
 
 def test_build_W_commutes_B_and_W_prime_densely_off_the_diagonal(golden_bi4):

@@ -10,7 +10,7 @@ from .fields import (QQ, FieldElement, PrimeField, QuadraticExtension, QQi,
                      parse_field)
 from .matrices import (Matrix, algebra_dimension, anticommutator, column,
                        commutator, diagonal, identity, lagrange_idempotents,
-                       poly_eval, zeros)
+                       zeros)
 from .recurrences import (RecurrentSeq, basis_asym, basis_sym, make_recurrent,
                           solve_q, sym_asym_split)
 from .arrays import (ANY_BETA, AskeyWilsonSeq, EigenvalueArray, Family,

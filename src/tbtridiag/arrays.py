@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import (BannaiItoOddDiameter, BetaInvalid, CharacteristicTwo,
                      CharacteristicViolation, InvalidArray, LengthMismatch,
                      NoBeta, QConditionViolation, Unclassifiable, require)
-from .recurrences import basis_asym, solve_q
+from .recurrences import basis_asym, is_recurrent, solve_q
 
 
 class AnyBeta:
@@ -74,21 +74,12 @@ class EigenvalueArray:
 
 def _solve_beta(theta, theta_star):
     """The unique scalar satisfying both recurrences, for d >= 3."""
-    d = len(theta) - 1
-    beta = None
-    for seq in (theta, theta_star):
-        for i in range(1, d):
-            if not seq[i].is_zero():
-                beta = (seq[i - 1] + seq[i + 1]) / seq[i]
-                break
-        if beta is not None:
-            break
+    beta = next(((seq[i - 1] + seq[i + 1]) / seq[i] for seq in (theta, theta_star)
+                 for i in range(1, len(seq) - 1) if not seq[i].is_zero()), None)
     if beta is None:
         raise NoBeta("all interior terms vanish")
-    for seq in (theta, theta_star):
-        for i in range(1, d):
-            if not (seq[i - 1] - beta * seq[i] + seq[i + 1]).is_zero():
-                raise NoBeta("no scalar satisfies both recurrences")
+    if not (is_recurrent(theta, beta) and is_recurrent(theta_star, beta)):
+        raise NoBeta("no scalar satisfies both recurrences")
     return beta
 
 

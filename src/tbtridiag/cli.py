@@ -6,7 +6,8 @@ report), selftest (built-in grid).  Exit codes: 0 success, 1 a mathematical
 check failed, 2 malformed input or configuration.
 
 The environment variable TB_TRIDIAG_MAX_D (default 64) caps the diameter; a
-value that is not an integer is malformed configuration (exit 2).
+value that is not an integer, written -?[0-9]+, is malformed configuration
+(exit 2).
 """
 
 import argparse
@@ -28,9 +29,12 @@ from .triple import (antiautomorphism_report, braid_check, build_C, build_W,
 def _max_d():
     text = os.environ.get("TB_TRIDIAG_MAX_D", "64")
     try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"TB_TRIDIAG_MAX_D = {text!r} is not an integer") from None
+        # int() alone would also take "+64", " 64", "6_4" and non-ASCII digits
+        if re.fullmatch(r"-?[0-9]+", text):
+            return int(text)
+    except ValueError:      # more digits than the interpreter's int limit
+        pass
+    raise ParseError(f"TB_TRIDIAG_MAX_D = {text!r} is not an integer")
 
 
 def _check_cap(d):
@@ -258,7 +262,6 @@ def _build_parser():
     p = sub.add_parser("build", help="build the system for an array document")
     p.add_argument("-i", "--input", required=True, help="array JSON path or -")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--format", choices=["json", "table"], default="json")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="verify an array or system document")

@@ -7,7 +7,9 @@ operation runs on those values through the field's raw kernels (``_add``,
 ``_sub``, ``_neg``, ``_mul``, ``_matmul``, ``_sub_scaled``), and equality,
 hashing, transposition and the zero test compare the raw tuples; all are
 exact.  Entries are ``FieldElement``s only at the API: ``m[i, j]`` and
-``rows`` box them, and ``Matrix(field, rows)`` coerces its input.  The spectral toolkit:
+``rows`` box them, and ``Matrix(field, rows)`` coerces its input.
+``diagonal_entries`` is the one test for a diagonal matrix, the shape of A*,
+W' and every E*_i in the standard basis.  The spectral toolkit:
 ``poly_chain``, the one way the package forms (x - r_0 I) ... (x - r_{i-1} I);
 ``spectral_sum``, the one way it forms t_0 X_0 + ... + t_d X_d, as a single
 kernel product; primitive idempotents; and the dimension of a generated unital
@@ -183,6 +185,16 @@ def diagonal(field, entries):
                                    for i in range(n)])
 
 
+def diagonal_entries(m):
+    """The tuple of m's diagonal raw values when m is square and zero off its
+    diagonal, else None."""
+    raw, zero = m.raw, m.field._zero_raw
+    if len(raw) != len(raw[0]) or any(v != zero for i, row in enumerate(raw)
+                                      for j, v in enumerate(row) if i != j):
+        return None
+    return tuple(row[i] for i, row in enumerate(raw))
+
+
 def column(field, entries):
     return Matrix(field, [[e] for e in entries])
 
@@ -209,21 +221,6 @@ def spectral_sum(mats, weights):
                        [[fld(t).value for t in weights]])
     return Matrix.from_raw(fld, [[v for (v,) in flat[i:i + m]]
                                  for i in range(0, len(flat), m)])
-
-
-def poly_eval(coeffs, x):
-    """Evaluate sum(coeffs[k] * x**k) by Horner's scheme."""
-    if x.nrows != x.ncols:
-        raise DimensionMismatch("polynomial of a non-square matrix")
-    field = x.field
-    coeffs = [field(c) for c in coeffs]
-    if not coeffs:
-        return zeros(field, x.nrows)
-    eye = identity(field, x.nrows)
-    acc = eye * coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + eye * c
-    return acc
 
 
 def poly_chain(x, roots):
@@ -371,14 +368,6 @@ def primitive_idempotents(x, eigenvalues):
 # ---------------------------------------------------------------------------
 
 
-def _is_distinct_diagonal(g):
-    zero = g.field._zero_raw
-    raw = g.raw
-    return (all(v == zero for i, row in enumerate(raw)
-                for j, v in enumerate(row) if i != j)
-            and len({raw[i][i] for i in range(len(raw))}) == len(raw))
-
-
 def _reachable_pairs(gens, n):
     zero = gens[0].field._zero_raw
     succ = [set() for _ in range(n)]
@@ -475,7 +464,8 @@ def _flat_raw(m):
     return [v for row in m.raw for v in row]
 
 
-def _closure_rank(field, gens, n, echelon):
+def _closure_rank(field, gens, n):
+    echelon = _ExactIntEchelon() if isinstance(field, RationalField) else _FieldEchelon(field)
     cap = n * n
     eye = identity(field, n)
     work = deque()
@@ -504,7 +494,6 @@ def algebra_dimension(generators, n):
         if g.shape != (n, n):
             raise DimensionMismatch(f"generator of shape {g.shape}, expected {(n, n)}")
 
-    if any(_is_distinct_diagonal(g) for g in gens):
+    if any(len(set(diag)) == n for diag in map(diagonal_entries, gens) if diag is not None):
         return _reachable_pairs(gens, n)
-    echelon = _ExactIntEchelon() if isinstance(field, RationalField) else _FieldEchelon(field)
-    return _closure_rank(field, gens, n, echelon)
+    return _closure_rank(field, gens, n)

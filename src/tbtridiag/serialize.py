@@ -17,7 +17,7 @@ from .fields import parse_field
 from .matrices import Matrix, diagonal, primitive_idempotents
 from .matrices import lagrange_idempotents  # noqa: F401  perfbench's tracer test checks this binding
 from .system import intersection_numbers, symmetrizer, system
-from .triple import LeonardTriple, spectral_elements, triple_scalars
+from .triple import LeonardTriple, WData, spectral_fields, triple_scalars
 
 
 def _enc_elems(fld, elems):
@@ -195,9 +195,11 @@ def decode_triple(doc):
     The stored A_star must be diag(theta), the stored beta, rho, h, z, q,
     weights t and kappa the ones the decoded system gives, and W, W', W''
     and P the spectral sums they predict (ParseError naming the first that
-    disagrees).  C is taken as stored, with its idempotents: a C off theta's
-    spectrum is a ParseError, and a hand-edited C on it decodes only with a
-    W'' edited to match, for the reports to check.
+    disagrees).  They are compared before the WData is built, so a refused
+    document forms one product, W'W, and no derived field.  C is taken as
+    stored, with its idempotents: a C off theta's spectrum is a ParseError,
+    and a hand-edited C on it decodes only with a W'' edited to match, for
+    the reports to check.
     """
     try:
         sys = decode_system(doc["system"])
@@ -228,14 +230,13 @@ def decode_triple(doc):
     except NotAnnihilated:
         raise ParseError("stored C is not annihilated by theta's factors") from None
     tri = LeonardTriple(sys.A, sys.A_star, C, sys.E, E_dprime, sc)
-    w = spectral_elements(tri)
+    predicted = spectral_fields(tri)
     expected = {"beta": sc.beta, "rho": sc.rho, "h": sc.h, "z": sc.z, "q": sc.q,
-                "t": w.t, "kappa": w.kappa, "W": w.W, "W_prime": w.W_prime,
-                "W_dprime": w.W_dprime, "P": w.P}
+                **predicted}
     for key, value in expected.items():
         if stored[key] != value:
             raise ParseError(f"stored {key} disagrees with the system")
-    return sys, tri, w
+    return sys, tri, WData(**predicted)
 
 
 def dumps(doc):

@@ -18,8 +18,8 @@ from .arrays import is_self_dual
 from .errors import (DimensionMismatch, FieldMismatch, NotAnnihilated,
                      NotSelfDual, ZeroDenominator, require)
 from .matrices import (Matrix, RankOneFamily, algebra_dimension, diagonal,
-                       identity, poly_chain, primitive_idempotents,
-                       spectral_sum)
+                       diagonal_entries, identity, poly_chain,
+                       primitive_idempotents, spectral_sum)
 from .report import ReportBuilder
 
 
@@ -181,12 +181,12 @@ def _adjacent_expansions(E, A_star):
     j (one neighbour at j = 0 and d), for a diagonal A*.  Recurrence vectors
     have u_j[0] = 1 and u_j[1] = (theta_j - A[0, 0]) / A[0, 1], pairwise
     distinct, so entries 0 and 1 fix x_j, y_j; all n entries are checked."""
-    fld, raw, us = E.field, A_star.raw, E.u
+    fld, diag, us = E.field, diagonal_entries(A_star), E.u
     add, sub, mul, zero = fld._add, fld._sub, fld._mul, fld._zero_raw
-    if any(v != zero for i, row in enumerate(raw) for j, v in enumerate(row) if i != j):
+    if diag is None:
         return False
     for j, u in enumerate(us):
-        v = [mul(raw[k][k], x) for k, x in enumerate(u)]
+        v = list(map(mul, diag, u))
         if 0 < j < len(us) - 1:
             lo, hi = us[j - 1], us[j + 1]
             y = mul(sub(v[1], mul(v[0], lo[1])), fld._inv(sub(hi[1], lo[1])))

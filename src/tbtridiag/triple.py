@@ -35,8 +35,8 @@ from .arrays import aw_sequence, fundamental_parameter, is_self_dual, ANY_BETA
 from .errors import (BetaInvalid, KappaMismatch, NoSquareRootInField,
                      NotSelfDual, RelationViolation, require)
 from .fields import FieldElement
-from .matrices import (Matrix, diagonal, identity, primitive_idempotents,
-                       spectral_sum)
+from .matrices import (Matrix, diagonal, diagonal_entries, identity,
+                       primitive_idempotents, spectral_sum)
 from .recurrences import basis_asym, solve_q
 from .report import ReportBuilder
 from .system import dagger, dagger_map
@@ -238,15 +238,21 @@ def expected_kappa(sc, d):
     return fld(-1) ** d * h ** (-d) * z ** d * sc.q ** (d * (d - 1))
 
 
-def spectral_elements(tri):
-    """The WData the scalars of tri predict: the weights t, W, W', W'', P = W'W
-    and the expected kappa, formed without checking any identity."""
+def spectral_fields(tri):
+    """The document fields the scalars of tri predict, by WData field name in
+    document order: the weights t, the expected kappa, W, W', W'' and P =
+    W'W, formed without checking any identity and with one product."""
     sc, d = tri.scalars, tri.d
     t = _weights(sc, d)
     W = spectral_sum(tri.E, t)
     W_prime = diagonal(tri.field, t)
-    return WData(W, W_prime, spectral_sum(tri.E_dprime, t), W_prime * W, t,
-                 expected_kappa(sc, d))
+    return {"t": t, "kappa": expected_kappa(sc, d), "W": W, "W_prime": W_prime,
+            "W_dprime": spectral_sum(tri.E_dprime, t), "P": W_prime * W}
+
+
+def spectral_elements(tri):
+    """The WData of the fields spectral_fields predicts."""
+    return WData(**spectral_fields(tri))
 
 
 def build_W(tri):
@@ -254,33 +260,23 @@ def build_W(tri):
 
     The intertwining identities A W = W A, B W' = W' B, B W = W C, C W' = W' A
     and the three factorizations of P are checked (InvariantViolation); a
-    wrong kappa raises KappaMismatch.  P^3 = kappa I is decided as kappa != 0
-    and P^{-1} = kappa^{-1} P^2, which forms no product as P^{-1} is exact.
+    wrong kappa raises KappaMismatch.  P^3 = kappa I is decided by
+    _P_cubed_scalar, which forms no product as P^{-1} is exact.
     """
     w = spectral_elements(tri)
     W, W_prime, W_dprime, P, kappa = w.W, w.W_prime, w.W_dprime, w.P, w.kappa
     A, B, C = tri.A, tri.B, tri.C
-    # two diagonals of one size commute
-    require(A * W == W * A and (_diagonals(B, W_prime) is not None
+    # W' = diag(t), and two diagonals of one size commute; a B of another
+    # size or field fails B W = W C below as B W' = W' B would
+    require(A * W == W * A and (diagonal_entries(B) is not None
                                 or B * W_prime == W_prime * B),
             "W or W' does not commute with A or B")
     require(B * W == W * C and C * W_prime == W_prime * A,
             "W or W' does not intertwine")
     require(P == W_dprime * W_prime == W * W_dprime, "the factorizations of P disagree")
-    if kappa.is_zero() or w.P_inv != w.P_sq * kappa.inverse():
+    if _P_cubed_scalar(w) != kappa.value:
         raise KappaMismatch(f"P^3 != {kappa} I for case {tri.scalars.case}")
     return w
-
-
-def _diagonals(x, y):
-    """The diagonals of x and y as lists of raw values when both are square
-    diagonal matrices of one size over one field, else None."""
-    zero = x.field._zero_raw
-    if x.shape != y.shape or x.nrows != x.ncols or x.field != y.field or any(
-            v != zero for m in (x, y) for i, row in enumerate(m.raw)
-            for j, v in enumerate(row) if i != j):
-        return None
-    return [[row[i] for i, row in enumerate(m.raw)] for m in (x, y)]
 
 
 def _certified_inverse(x, candidate):
@@ -289,8 +285,8 @@ def _certified_inverse(x, candidate):
     products when x and candidate are diagonal.  For a square x a one-sided
     inverse is two-sided."""
     if candidate is not None:
-        diags = _diagonals(x, candidate)
-        if diags is not None:
+        diags = diagonal_entries(x), diagonal_entries(candidate)
+        if None not in diags and x.shape == candidate.shape and x.field == candidate.field:
             mul, one = x.field._mul, x.field._one_raw
             certified = all(mul(a, b) == one for a, b in zip(*diags))
         else:
@@ -361,19 +357,18 @@ def _antiautomorphisms(dag, twists):
 
 
 def _is_scalar(m):
-    zero = m.field._zero_raw
-    lead = m.raw[0][0]
-    return lead != zero and all(v == (lead if i == j else zero)
-                                for i, row in enumerate(m.raw) for j, v in enumerate(row))
+    diag = diagonal_entries(m)
+    return (diag is not None and diag[0] != m.field._zero_raw
+            and diag.count(diag[0]) == len(diag))
 
 
-def _P_cubed_is_scalar(w):
-    """Whether P^3 is a nonzero scalar.  w.P_inv is exact, so P^3 = c I iff
-    P^2 = c P^{-1}, and then c = (P^3)_00, row 0 of P^2 times column 0 of P:
-    one dot product and an entrywise comparison."""
+def _P_cubed_scalar(w):
+    """The raw c != 0 with P^3 = c I, else None.  w.P_inv is exact, so P^3 =
+    c I iff P^2 = c P^{-1}, and then c = (P^3)_00, row 0 of P^2 times column
+    0 of P: one dot product and an entrywise comparison."""
     P, fld = w.P, w.P.field
     c = fld._matmul([w.P_sq.raw[0]], [[row[0] for row in P.raw]])[0][0]
-    return c != fld._zero_raw and w.P_sq == w.P_inv * FieldElement(fld, c)
+    return c if c != fld._zero_raw and w.P_sq == w.P_inv * FieldElement(fld, c) else None
 
 
 def antiautomorphism_report(sys, tri, w):
@@ -383,7 +378,7 @@ def antiautomorphism_report(sys, tri, w):
     report's verdict: (F1) dagger fixes W and W' (the first two checks);
     (F2) rho: X -> P^-1 X P cycles A -> B -> C -> A (A P = P B, B P = P C,
     C P = P A); (F3) P = W' W; (F4) P^3 is scalar, decided as P^2 = c P^-1
-    (_P_cubed_is_scalar).  The ddagger row is checked as X^dagger W = W Y,
+    (_P_cubed_scalar).  The ddagger row is checked as X^dagger W = W Y,
     which is W^-1 X^dagger W = Y.  Then:
     - By their twists, dagger' = rho o dagger o rho^-1 and dagger'' =
       rho^-1 o dagger o rho for any P, so the checks of that name are
@@ -409,7 +404,7 @@ def antiautomorphism_report(sys, tri, w):
               rb.matrices_equal("dagger fixes W'", dag(w.W_prime), w.W_prime)])
     cyc = [X * P == P * Y for X, Y in zip(gens, (B, C, A))]
     f13 = f1 and P == w.W_prime * w.W
-    f4 = _P_cubed_is_scalar(w)
+    f4 = _P_cubed_scalar(w) is not None
     maps = functools.cache(
         lambda: _antiautomorphisms(dag, _twists(w, dag(P), dag(Pinv))))
 
@@ -505,7 +500,7 @@ def sigma_and_psl2z(sys, tri, w):
     diag(theta) and W'' = sum t_i E''_i are checked, rho(W) = W' follows
     rho(A) = B, rho(W') = W'' follows rho(B) = C, and rho(W'') = W follows
     rho(C) = A.  rho^3 and sigma^2 are checked on every matrix unit as "P^3
-    and T^2 are central" (_P_cubed_is_scalar; T^-2 is central iff T^2 is),
+    and T^2 are central" (_P_cubed_scalar; T^-2 is central iff T^2 is),
     and the words in r and s agree with their r^3 = s^2 = 1 normal forms
     exactly when both are.  P^{-1} P P = P for any P with an exact inverse,
     and WData certifies P^{-1} by one product against I or forms it by
@@ -549,7 +544,7 @@ def sigma_and_psl2z(sys, tri, w):
 
     # Conjugation by M fixes every matrix unit iff M is a nonzero scalar:
     # the centraliser of the full matrix algebra is the scalars.
-    rho_cubed = _P_cubed_is_scalar(w)
+    rho_cubed = _P_cubed_scalar(w) is not None
     sigma_squared = _is_scalar(T * T)
     rb.record("rho^3 = id on all matrix units", rho_cubed)
     rb.record("sigma^2 = id on all matrix units", sigma_squared)

@@ -272,11 +272,29 @@ def test_string_matrix_rows_rejected(capsys, tmp_path):
     assert code == 2 and "ParseError" in err and out == ""
 
 
-def test_malformed_max_d_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("TB_TRIDIAG_MAX_D", "abc")
-    code, _, err = run(capsys, "generate", "--family", "krawtchouk",
-                       "--d", "3", "--field", "Q")
-    assert code == 2 and "ParseError" in err and "TB_TRIDIAG_MAX_D" in err
+# the element grammar's integer form is -?[0-9]+; int() alone took the rest
+@pytest.mark.parametrize("text", [
+    "abc", "+64", pytest.param(" 64", id="leading space"),
+    pytest.param("64 ", id="trailing space"), "6_4",
+    pytest.param("\u0666\u0664", id="arabic-indic digits"), pytest.param("", id="empty"),
+    pytest.param("1" * 5000, id="past the int digit limit")])
+def test_malformed_max_d_rejected(capsys, monkeypatch, text):
+    monkeypatch.setenv("TB_TRIDIAG_MAX_D", text)
+    code, out, err = run(capsys, "generate", "--family", "krawtchouk",
+                         "--d", "3", "--field", "Q")
+    assert (code, out) == (2, "")
+    assert err == f"ParseError: TB_TRIDIAG_MAX_D = {text!r} is not an integer\n"
+
+
+def test_build_refuses_a_format_option(capsys, tmp_path):
+    # build writes only JSON; it once took --format and ignored it
+    path = tmp_path / "arr.json"
+    path.write_text(serialize.dumps(serialize.emit_array(
+        generate_family(QQ, Family.KRAWTCHOUK, 3))))
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "-i", str(path), "--format", "table"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format table" in capsys.readouterr().err
 
 
 def test_non_string_field_descriptor_rejected(capsys, tmp_path):

@@ -10,11 +10,11 @@ from tbtridiag.errors import (DimensionMismatch, DuplicateEigenvalue,
                               NotAnnihilated, Singular)
 from tbtridiag.fields import (QQ, FieldElement, PrimeField, QQi,
                               QuadraticExtension, RationalField, parse_field)
-from tbtridiag.matrices import (Matrix, _closure_rank, _ExactIntEchelon,
-                                _FieldEchelon, algebra_dimension,
+from tbtridiag.matrices import (Matrix, _closure_rank, algebra_dimension,
                                 anticommutator, column, commutator, diagonal,
-                                identity, lagrange_idempotents, poly_chain,
-                                poly_eval, primitive_idempotents, RankOneFamily,
+                                diagonal_entries, identity,
+                                lagrange_idempotents, poly_chain,
+                                primitive_idempotents, RankOneFamily,
                                 rank_one_idempotents, spectral_sum, zeros)
 from tbtridiag.system import build_system, dagger, is_antidiagonal
 
@@ -74,36 +74,6 @@ def test_inverse_exact_on_random_matrices(entries):
         return
     assert inv * x == identity(QQ, 3)
     assert x * inv == identity(QQ, 3)
-
-
-def _poly_product(roots):
-    # expand prod (x - r) by convolution; independent of poly_eval
-    coeffs = [QQ.one]
-    for r in roots:
-        r = QQ(r)
-        coeffs = [QQ.zero] + coeffs
-        coeffs = [coeffs[k] - r * (coeffs[k + 1] if k + 1 < len(coeffs) else QQ.zero)
-                  for k in range(len(coeffs))]
-    return coeffs
-
-
-def test_poly_eval_constant_and_identity():
-    x = Matrix(QQ, [[1, 2], [3, 4]])
-    assert poly_eval([5], x) == identity(QQ, 2) * 5
-    assert poly_eval([0, 1], x) == x
-    assert poly_eval([], x).is_zero()
-
-
-def test_poly_eval_minimal_polynomial():
-    coeffs = _poly_product(KRAW_THETA)
-    assert list(coeffs) == list(map(QQ, [9, 0, -10, 0, 1]))
-    # oracle: the explicit product of the linear factors
-    eye = identity(QQ, 4)
-    direct = eye
-    for t in KRAW_THETA:
-        direct = direct * (KRAW_A - eye * t)
-    assert direct.is_zero()
-    assert poly_eval(coeffs, KRAW_A) == direct
 
 
 def test_idempotents_of_diagonal():
@@ -573,6 +543,34 @@ def test_indexing_and_rows_box_the_stored_values(spec, data):
     assert x.shape == (n, m) and isinstance(x.rows, tuple)
 
 
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_diagonal_entries_match_boxed_reference(spec, data):
+    # square and non-square, diagonal, scalar, and diagonal but for one
+    # entry; triple._is_scalar reads diagonal_entries
+    from tbtridiag.triple import _is_scalar
+
+    fld = parse_field(spec)
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    rows = [list(r) for r in data.draw(_matrices(fld, n, m)).rows]
+    kind = data.draw(st.sampled_from(["any", "diagonal", "scalar", "one off the diagonal"]))
+    if kind != "any":
+        lead = data.draw(_elements(fld))
+        rows = [[(lead if kind == "scalar" else v) if i == j else fld.zero
+                 for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    off = [(i, j) for i in range(n) for j in range(m) if i != j]
+    if kind == "one off the diagonal" and off:
+        i, j = data.draw(st.sampled_from(off))
+        rows[i][j] = data.draw(_elements(fld).filter(lambda e: not e.is_zero()))
+    is_diagonal = n == m and all(rows[i][j].is_zero() for i, j in off)
+    expected = tuple(rows[i][i].value for i in range(n)) if is_diagonal else None
+    x = Matrix(fld, rows)
+    assert diagonal_entries(x) == expected
+    assert _is_scalar(x) == (is_diagonal and not rows[0][0].is_zero()
+                             and all(rows[i][i] == rows[0][0] for i in range(n)))
+
+
 # ---------------------------------------------------------------------------
 # the algebra dimension by reachability against the product closure
 #
@@ -582,9 +580,7 @@ def test_indexing_and_rows_box_the_stored_values(spec, data):
 # ---------------------------------------------------------------------------
 
 def _closure_dimension(gens, n):
-    fld = gens[0].field
-    echelon = _ExactIntEchelon() if isinstance(fld, RationalField) else _FieldEchelon(fld)
-    return _closure_rank(fld, gens, n, echelon)
+    return _closure_rank(gens[0].field, gens, n)
 
 
 @st.composite

@@ -137,6 +137,29 @@ def test_triple_document_with_a_false_kappa_is_refused(triple_docs):
         decode_triple(doc)
 
 
+@pytest.mark.parametrize("key", ["W", "kappa"])
+def test_a_refused_triple_document_forms_only_W_prime_W(key, monkeypatch):
+    # the predicted fields are compared before a WData derives P^2, T and its
+    # certified inverses; comparing a built record's fields formed 7
+    # products here, 4 of them with both operands dense
+    doc = _triple_doc(QQi(), Family.KRAWTCHOUK, 6)
+    if key == "W":
+        doc["W"][0][1] = _plus_one(doc, doc["W"][0][1])
+    else:
+        doc["kappa"] = _plus_one(doc, doc["kappa"])
+    products, real = [], Matrix.__mul__
+
+    def mul(x, y):
+        if isinstance(y, Matrix):
+            products.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(Matrix, "__mul__", mul)
+    with pytest.raises(ParseError, match=f"^stored {key} disagrees with the system$"):
+        decode_triple(doc)
+    assert len(products) == 1
+
+
 def test_triple_document_q_present_exactly_when_the_case_has_one(triple_docs):
     doc = copy.deepcopy(triple_docs["qracah"])
     del doc["q"]

@@ -17,9 +17,8 @@ from tbtridiag.arrays import (AskeyWilsonSeq, Family, aw_sequence,
                               relatives, validate_array)
 from tbtridiag.errors import (DivisionByZero, InvariantViolation, NotAnnihilated,
                               NotSelfDual)
-from tbtridiag.fields import QQ, RationalField, parse_field
+from tbtridiag.fields import QQ, parse_field
 from tbtridiag.matrices import (Matrix, RankOneFamily, _closure_rank,
-                                _ExactIntEchelon, _FieldEchelon,
                                 algebra_dimension, column, diagonal, identity,
                                 lagrange_idempotents, poly_chain, spectral_sum,
                                 zeros)
@@ -785,8 +784,7 @@ FULL_ALGEBRA = "A, A* generate the full matrix algebra"
 def _closure_check(s):
     """The full-algebra check from the product closure of the stored A, A*."""
     fld, n = s.field, s.d + 1
-    echelon = _ExactIntEchelon() if isinstance(fld, RationalField) else _FieldEchelon(fld)
-    dim = _closure_rank(fld, [s.A, s.A_star], n, echelon)
+    dim = _closure_rank(fld, [s.A, s.A_star], n)
     return CheckResult(FULL_ALGEBRA, dim == n * n,
                        None if dim == n * n else f"algebra dimension {dim} != {n * n}")
 
@@ -872,7 +870,7 @@ def test_lagrange_documents_take_the_eigenbasis(eigenbasis_docs, spec, data):
     s = decode_system(doc)
     assert s.E is not None and not any(e.is_zero() for e in s.E)
 
-    def refuse(*args):
+    def refuse(field, gens, n):
         raise AssertionError("product closure reached with rank-one idempotents")
 
     with pytest.MonkeyPatch.context() as mp:
@@ -900,7 +898,7 @@ def test_a_family_with_a_zero_idempotent_keeps_the_dense_scan(k3, a_star_entry, 
     calls = []
     closure = matrices._closure_rank
     monkeypatch.setattr(matrices, "_closure_rank",
-                        lambda *args: calls.append(args) or closure(*args))
+                        lambda field, gens, n: calls.append(gens) or closure(field, gens, n))
     assert _full_algebra_check(s) == _closure_check(s)
     assert len(calls) == (a_star_entry is not None)
     assert _sandwich_check(s) == _dense_sandwich(s) == (False, "E_0 A* E_0 != 0")
@@ -1252,7 +1250,7 @@ def test_isomorphic(k3):
 def test_verify_axioms_never_reaches_the_closure_for_a_diagonal_a_star(spec, monkeypatch):
     from tbtridiag import matrices
 
-    def refuse(*args):
+    def refuse(field, gens, n):
         raise AssertionError("product closure reached with a diagonal A*")
 
     monkeypatch.setattr(matrices, "_closure_rank", refuse)
@@ -1271,16 +1269,15 @@ def test_verify_with_an_off_diagonal_a_star_takes_the_closure(capsys, tmp_path, 
     doc["A"][1][2] = doc["A"][2][1] = "0"
     doc["A_star"][1][2] = "1"
     decoded = decode_system(doc)
-    expected = matrices._closure_rank(QQ, [decoded.A, decoded.A_star], 6,
-                                      matrices._ExactIntEchelon())
+    expected = matrices._closure_rank(QQ, [decoded.A, decoded.A_star], 6)
     assert expected == 4 + 16 + 8
 
     calls = []
     closure = matrices._closure_rank
 
-    def spy(*args):
-        calls.append(args)
-        return closure(*args)
+    def spy(field, gens, n):
+        calls.append(gens)
+        return closure(field, gens, n)
 
     monkeypatch.setattr(matrices, "_closure_rank", spy)
     path = tmp_path / "sys.json"
@@ -1290,6 +1287,30 @@ def test_verify_with_an_off_diagonal_a_star_takes_the_closure(capsys, tmp_path, 
     assert code == 1 and len(calls) == 1
     assert ("FAIL  A, A* generate the full matrix algebra  "
             f"[algebra dimension {expected} != 36]") in out.splitlines()
+
+
+@pytest.mark.parametrize("spec, echelon", [("Fp:1000003", "_FieldEchelon"),
+                                           ("Q", "_ExactIntEchelon")])
+def test_a_doubly_tampered_document_takes_the_echelon_of_its_field(
+        spec, echelon, capsys, tmp_path, monkeypatch):
+    # the CLI path through the product closure that the large-d table runs
+    # at d = 12: fraction-free over Q, over the field itself otherwise
+    from tbtridiag import matrices
+    from tbtridiag.cli import main
+
+    doc = emit_system(build_system(generate_family(parse_field(spec), Family.KRAWTCHOUK, 4)))
+    doc["A"][0][2] = "1"
+    doc["A_star"][1][3] = "1"
+    made = []
+    for name in ("_FieldEchelon", "_ExactIntEchelon"):
+        cls = getattr(matrices, name)
+        monkeypatch.setattr(matrices, name,
+                            lambda *args, cls=cls, name=name: made.append(name) or cls(*args))
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    code = main(["verify", "-i", str(path)])
+    assert code == 1 and capsys.readouterr().out.splitlines()[-1] == "14 checks, 9 failed"
+    assert made == [echelon]
 
 
 def _dense_aw_relations(s, seq):

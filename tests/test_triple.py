@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbtridiag.arrays import Family, generate_family, validate_array
-from tbtridiag.errors import (BetaInvalid, NoSquareRootInField, NotSelfDual,
-                              RelationViolation, Singular)
+from tbtridiag.errors import (BetaInvalid, KappaMismatch, NoSquareRootInField,
+                              NotSelfDual, RelationViolation, Singular)
 from tbtridiag.fields import QQ, PrimeField, QQi, parse_field
-from tbtridiag.matrices import (Matrix, diagonal, identity,
+from tbtridiag.matrices import (Matrix, diagonal, diagonal_entries, identity,
                                 primitive_idempotents, spectral_sum)
 from tbtridiag.report import ReportBuilder
 from tbtridiag.system import build_system, dagger, dagger_map
@@ -1044,10 +1044,39 @@ def test_build_W_commutes_B_and_W_prime_densely_off_the_diagonal(golden_bi4):
     n = tri.d + 1
     m = identity(QQ, n) + Matrix(QQ, [[int(j == i + 1) for j in range(n)] for i in range(n)])
     bent = dataclasses.replace(tri, B=m * tri.B * m.inverse())
-    assert triple._diagonals(bent.B, w.W_prime) is None
+    assert diagonal_entries(bent.B) is None
     assert bent.B * w.W_prime != w.W_prime * bent.B
     with pytest.raises(InvariantViolation, match="W or W' does not commute with A or B"):
         build_W(bent)
+
+
+@pytest.mark.parametrize("case", GOLDEN_TRIPLES)
+def test_build_W_refuses_a_wrong_kappa(case, monkeypatch):
+    system, tri, w = _golden(*case)
+    real = triple.expected_kappa
+    monkeypatch.setattr(triple, "expected_kappa", lambda sc, d: real(sc, d) + 1)
+    with pytest.raises(KappaMismatch) as err:
+        build_W(tri)
+    assert str(err.value) == f"P^3 != {w.kappa + 1} I for case {tri.scalars.case}"
+
+
+def test_P_cubed_scalar_is_kappa_exactly_where_the_kappa_test_passed(golden_triples):
+    # kappa != 0 and P^{-1} = kappa^{-1} P^2, and _P_cubed_scalar(w) = kappa,
+    # are each P^3 = kappa I, the dense oracle, as P^{-1} is exact
+    verdicts = set()
+    for system, tri, w in golden_triples.values():
+        fld, n = tri.field, tri.d + 1
+        m = identity(fld, n) + Matrix(fld, [[int(j == i + 1) for j in range(n)]
+                                            for i in range(n)])
+        records = [bad for _, _, bad in _tampered(system, tri, w, m, fld(2), (0, 0))]
+        records += [dataclasses.replace(w, **changes)
+                    for changes, _ in _broken_wdata(w, fld, tri.d)]
+        for r in records:
+            kappa_test = not r.kappa.is_zero() and r.P_inv == r.P_sq * r.kappa.inverse()
+            assert (triple._P_cubed_scalar(r) == r.kappa.value) == kappa_test
+            assert kappa_test == (r.P * r.P * r.P == identity(fld, n) * r.kappa)
+            verdicts.add(kappa_test)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("spec", ["Q", "Fp:101", "Q(i)"])

@@ -18,9 +18,16 @@ Each field also owns the raw kernels for matrix work over it, on lists of
 raw values so that no entry is boxed in an inner loop: ``_matmul(rows,
 cols)``, the product of the left operand's rows with the right operand's
 columns, and ``_sub_scaled(vec, x, row)``, the elimination step vec - x*row.
-A quadratic extension multiplies on its base's integer view: values as ints
-over one denominator (``_integer_view(vecs)``, ``_integer_pair(a, b)``), and
-back (``_from_integers(num, den)``).
+A quadratic extension takes one of two paths.  An operand whose sqrt(d)
+coordinates are all zero runs on the base's own kernels: ``_matmul`` forms
+one base product when both operands lie in the base and two when one does,
+and ``_mul`` and ``_inv`` of a base-valued element use base operations
+alone.  Any other product is formed on the base's integer view: values as
+ints over one denominator (``_integer_view(vecs)``, ``_integer_pair(a, b)``),
+and back (``_from_integers(num, den)``).  A zero that ``QQ``'s arithmetic or
+a product kernel returns is the field's shared zero value (over an
+extension, the base's, in each coordinate), so raw tuples compare equal on
+identity at zeros.
 """
 
 import re
@@ -256,32 +263,38 @@ class RationalField(Field):
     def __call__(self, x):
         if isinstance(x, FieldElement) or not isinstance(x, Fraction):
             return super().__call__(x)
-        return FieldElement(self, (x.numerator, x.denominator))
+        return FieldElement(self, (x.numerator, x.denominator) if x else self._zero_raw)
 
     def _from_int(self, n):
-        return int(n), 1        # int(): a bool encodes as 1, not True
+        return (int(n), 1) if n else self._zero_raw   # int(): a bool encodes as 1, not True
 
     def _add(self, u, v):
         (a, b), (c, d) = u, v
         n, m = a * d + b * c, b * d
+        if not n:
+            return self._zero_raw
         g = gcd(n, m)
         return n // g, m // g
 
     def _sub(self, u, v):
         (a, b), (c, d) = u, v
         n, m = a * d - b * c, b * d
+        if not n:
+            return self._zero_raw
         g = gcd(n, m)
         return n // g, m // g
 
     def _mul(self, u, v):
         # cross-gcd rule (Knuth, TAOCP 4.5.1): a/b * c/d with gcd(a, d) and
-        # gcd(c, b) cancelled is already reduced; zero is (0, 1) because b = 1
+        # gcd(c, b) cancelled is already reduced
         (a, b), (c, d) = u, v
+        if not (a and c):
+            return self._zero_raw
         g, h = gcd(a, d), gcd(c, b)
         return (a // g) * (c // h), (b // h) * (d // g)
 
     def _neg(self, u):
-        return -u[0], u[1]
+        return (-u[0], u[1]) if u[0] else self._zero_raw
 
     def _inv(self, u):
         a, b = u
@@ -308,6 +321,8 @@ class RationalField(Field):
 
     def _from_integers(self, num, den):
         """num/den reduced, for den > 0."""
+        if not num:
+            return self._zero_raw
         g = gcd(num, den)
         return num // g, den // g
 
@@ -330,8 +345,8 @@ class RationalField(Field):
 
     def _sqrt_raw(self, v):
         n, d = v
-        if n < 0:
-            return None
+        if n <= 0:
+            return None if n else self._zero_raw
         rn, rd = isqrt(n), isqrt(d)
         if rn * rn == n and rd * rd == d:
             return rn, rd
@@ -511,8 +526,16 @@ class QuadraticExtension(Field):
         return (bs(u[0], v[0]), bs(u[1], v[1]))
 
     def _mul(self, u, v):
-        # the 1 x 1 case of _matmul
-        base, dn, dd = self.base, self._dn, self._dd
+        # the 1 x 1 case of _matmul: a factor in the base scales the other's
+        # coordinates, a(c + e s) = ac + ae s
+        base = self.base
+        if u[1] == base._zero_raw:
+            a, bm = u[0], base._mul
+            return (bm(a, v[0]), bm(a, v[1]))
+        if v[1] == base._zero_raw:
+            c, bm = v[0], base._mul
+            return (bm(u[0], c), bm(u[1], c))
+        dn, dd = self._dn, self._dd
         x, y, du = base._integer_pair(*u)
         z, t, dv = base._integer_pair(*v)
         den = du * dv
@@ -528,31 +551,48 @@ class QuadraticExtension(Field):
 
     def _inv(self, u):
         # 1/(a+b*s) = (a-b*s)/(a^2 - d b^2); the norm vanishes only at zero
-        # because d is a nonsquare.
+        # because d is a nonsquare, and 1/a stays in the base.
         if u == self._zero_raw:
             raise DivisionByZero(f"1/0 in {self}")
         a, b = u
-        bm, bs = self.base._mul, self.base._sub
+        base = self.base
+        if b == base._zero_raw:
+            return (base._inv(a), base._zero_raw)
+        bm, bs = base._mul, base._sub
         norm = bs(bm(a, a), bm(self._draw, bm(b, b)))
-        ninv = self.base._inv(norm)
-        return (bm(a, ninv), self.base._neg(bm(b, ninv)))
+        ninv = base._inv(norm)
+        return (bm(a, ninv), base._neg(bm(b, ninv)))
 
     def _matmul(self, rows, cols):
+        # An operand with no sqrt(d) part runs on the base's kernel: one
+        # product when both lie in the base, else X(Z + T s) = XZ + (XT) s or
+        # (X + Y s)Z = XZ + (YZ) s, the two products formed as one.
+        base, zero = self.base, self.base._zero_raw
+        (x, y), (z, t) = _coordinates(rows), _coordinates(cols)
+        left, right = (all(v.count(zero) == len(v) for v in im) for im in (y, t))
+        if left and right:
+            return [[(v, zero) for v in r] for r in base._matmul(x, z)]
+        if left:
+            xzt, m = base._matmul(x, z + t), len(cols)
+            return [list(zip(r[:m], r[m:])) for r in xzt]
+        if right:
+            xyz, n = base._matmul(x + y, z), len(rows)
+            return [list(zip(a, b)) for a, b in zip(xyz[:n], xyz[n:])]
         # (X + Y s)(Z + T s) = (XZ + D YT) + (XT + YZ) s with D = Dn/Dd.  On the
         # base's integer view (X, Y over the rows' denominator, Z, T over the
         # columns') each coordinate is one integer dot product of side-by-side
         # blocks: [X  Y][Dd Z; Dn T] over den Dd, and [X  Y][T; Z] over den.
-        base, dn, dd = self.base, self._dn, self._dd
-        xy, dr = base._integer_view([[x for x, _ in r] + [y for _, y in r] for r in rows])
-        zt, dc = base._integer_view([[z for z, _ in c] + [t for _, t in c] for c in cols])
+        dn, dd = self._dn, self._dd
+        xy, dr = base._integer_view([a + b for a, b in zip(x, y)])
+        zt, dc = base._integer_view([a + b for a, b in zip(z, t)])
         k = len(zt[0]) // 2 if zt else 0
-        real_cols = [[dd * z for z in c[:k]] + [dn * t for t in c[k:]] for c in zt]
+        real_cols = [[dd * v for v in c[:k]] + [dn * v for v in c[k:]] for c in zt]
         imag_cols = [c[k:] + c[:k] for c in zt]
         sums = ([(sum(map(mul, r, rc)), sum(map(mul, r, ic)))
                  for rc, ic in zip(real_cols, imag_cols)] for r in xy)
         # a zero coordinate is the base's shared zero, not a new value
-        den, val, zero = dr * dc, base._from_integers, base._zero_raw
-        return [[(val(s, den * dd) if s else zero, val(t, den) if t else zero) for s, t in row]
+        den, val = dr * dc, base._from_integers
+        return [[(val(p, den * dd) if p else zero, val(q, den) if q else zero) for p, q in row]
                 for row in sums]
 
     def _encode_raw(self, v):
@@ -634,6 +674,12 @@ class QuadraticExtension(Field):
 
     def __hash__(self):
         return hash(("ext", self.base, self.d.value))
+
+
+def _coordinates(vecs):
+    """The first and the sqrt(d) coordinates of extension vectors, as two
+    lists of base-raw vectors."""
+    return [[a for a, _ in v] for v in vecs], [[b for _, b in v] for v in vecs]
 
 
 def least_nonresidue(p):

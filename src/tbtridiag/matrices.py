@@ -6,8 +6,15 @@ an ``(a, b)`` pair over a quadratic extension; see fields.py).  Every
 operation runs on those values through the field's raw kernels (``_add``,
 ``_sub``, ``_neg``, ``_mul``, ``_matmul``, ``_sub_scaled``), and equality,
 hashing, transposition and the zero test compare the raw tuples; all are
-exact.  Entries are ``FieldElement``s only at the API: ``m[i, j]`` and
-``rows`` box them, and ``Matrix(field, rows)`` coerces its input.
+exact.  A product takes one of two paths: when an operand is monomial (at
+most one nonzero in each row and column, as A*, every E*_i, K, S*, J and W'
+are), it is a scaled copy of the other operand's rows or columns, formed
+with ``_mul`` in O(n^2); any other product is one ``_matmul``.  Either way a
+zero entry, and a zero coordinate over an extension, is the field's shared
+zero value: the kernels return it, and a copy keeps the zeros of its
+operand, which are shared when the fields' arithmetic made them.  Entries
+are ``FieldElement``s only at the API: ``m[i, j]`` and ``rows`` box them,
+and ``Matrix(field, rows)`` coerces its input.
 ``diagonal_entries`` is the one test for a diagonal matrix, the shape of A*,
 W' and every E*_i in the standard basis.  The spectral toolkit:
 ``poly_chain``, the one way the package forms (x - r_0 I) ... (x - r_{i-1} I);
@@ -110,7 +117,16 @@ class Matrix:
             self._check_same_field(other)
             if self.ncols != other.nrows:
                 raise DimensionMismatch(f"mul {self.shape} vs {other.shape}")
-            return Matrix.from_raw(field, field._matmul(self.raw, list(zip(*other.raw))))
+            # a monomial operand gives a scaled copy of the other's rows, or
+            # of its columns, since XY = (Y^t X^t)^t
+            hits = _monomial(self.raw, field._zero_raw)
+            if hits is not None:
+                return Matrix.from_raw(field, _scaled_rows(field, hits, other.raw))
+            cols = list(zip(*other.raw))
+            hits = _monomial(cols, field._zero_raw)
+            if hits is not None:
+                return Matrix.from_raw(field, zip(*_scaled_rows(field, hits, list(zip(*self.raw)))))
+            return Matrix.from_raw(field, field._matmul(self.raw, cols))
         # scalar
         s, mul = field(other).value, field._mul
         return Matrix.from_raw(field, [[mul(a, s) for a in r] for r in self.raw])
@@ -166,6 +182,33 @@ class Matrix:
         enc = self.field._encode_raw
         body = "; ".join(", ".join(map(enc, row)) for row in self.raw)
         return f"Matrix({self.field}, [{body}])"
+
+
+def _monomial(rows, zero):
+    """For each row, the column and value of its one nonzero, or None for a
+    zero row; None when a row or a column holds two nonzeros."""
+    hits, used = [], set()
+    for row in rows:
+        count = len(row) - row.count(zero)
+        if count > 1:
+            return None
+        if not count:
+            hits.append(None)
+            continue
+        j = next(j for j, v in enumerate(row) if v != zero)
+        if j in used:
+            return None
+        used.add(j)
+        hits.append((j, row[j]))
+    return hits
+
+
+def _scaled_rows(field, hits, rows):
+    """The rows of XY for a monomial X with these hits: row i is x_i times
+    row pi(i) of Y, copied when x_i is one; a zero row is the shared zero."""
+    one, mul, zero_row = field._one_raw, field._mul, (field._zero_raw,) * len(rows[0])
+    return [zero_row if h is None else rows[h[0]] if h[1] == one
+            else [mul(h[1], v) for v in rows[h[0]]] for h in hits]
 
 
 def identity(field, n):

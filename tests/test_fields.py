@@ -55,6 +55,21 @@ def test_rational_kernels_match_fraction(a, b, n):
 
 
 @settings(max_examples=100, deadline=None)
+@given(wide_rationals, wide_rationals, st.integers(min_value=1))
+def test_rational_zero_results_are_the_shared_zero(a, b, den):
+    # inputs are fresh pairs, so a zero (0, 1) among them is not the shared
+    # one; every zero a kernel returns is, so products of one-scaled monomial
+    # operands copy shared zeros
+    u, v, zero = _pair(a), _pair(b), QQ._zero_raw
+    results = [QQ._add(u, v), QQ._sub(u, v), QQ._mul(u, v), QQ._neg(u), QQ._sub(u, u),
+               QQ._add(u, QQ._neg(u)), QQ._mul(u, (0, 1)), QQ._mul((0, 1), v), QQ._neg((0, 1)),
+               QQ._from_int(0), QQ._from_integers(0, den), QQ._parse_raw("-0/5"),
+               QQ(Fraction(0)).value, QQ._sqrt_raw((0, 1))]
+    assert all(r is zero for r in results if r == zero)
+    assert results[4] is results[5] is zero
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.integers(), st.integers(min_value=1))
 def test_rational_from_integers_reduces(num, den):
     assert _is_pair_of(QQ._from_integers(num, den), Fraction(num, den))

@@ -368,9 +368,11 @@ def _base_elements(fld):
 
 
 def _elements(fld):
+    # extension elements are put together from their coordinates, so that
+    # no draw depends on the extension's own arithmetic
     if isinstance(fld, QuadraticExtension):
-        base = _base_elements(fld.base)
-        return st.tuples(base, base).map(lambda ab: fld(ab[0]) + fld.gen() * fld(ab[1]))
+        base = _base_elements(fld.base).map(lambda e: fld.base(e).value)
+        return st.tuples(base, base).map(lambda ab: FieldElement(fld, ab))
     return _base_elements(fld).map(fld)
 
 
@@ -394,6 +396,16 @@ def test_product_matches_boxed_reference(spec, data):
     assert _typed(x * y) == _typed(_boxed_mul(x, y))
 
 
+def _zeros_are_shared(m):
+    """Every zero entry of m, and over an extension every zero coordinate,
+    is the field's shared zero."""
+    fld = m.field
+    ext = isinstance(fld, QuadraticExtension)
+    zero = (fld.base if ext else fld)._zero_raw
+    coords = [c for row in m.raw for v in row for c in (v if ext else (v,))]
+    return all(c is zero for c in coords if c == zero)
+
+
 @pytest.mark.parametrize("spec", KERNEL_FIELDS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -403,10 +415,60 @@ def test_product_zero_entries_are_the_shared_zero(spec, data):
     n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
     x = data.draw(_matrices(fld, n, k))
     y = data.draw(_matrices(fld, k, m))
-    ext = isinstance(fld, QuadraticExtension)
-    zero = (fld.base if ext else fld)._zero_raw
-    coords = [c for row in (x * y).raw for v in row for c in (v if ext else (v,))]
-    assert all(c is zero for c in coords if c == zero)
+    assert _zeros_are_shared(x * y)
+
+
+@st.composite
+def _monomials(draw, fld, n, m):
+    """An n x m matrix with at most one nonzero in each row and column: a
+    partial permutation times scales drawn zero, one, minus one or free."""
+    cols = draw(st.permutations(range(max(n, m))))
+    scale = st.sampled_from([fld.zero, fld.one, -fld.one]) | _elements(fld)
+    rows = [[fld(0)] * m for _ in range(n)]
+    for i in range(n):
+        if cols[i] < m:
+            rows[i][cols[i]] = draw(scale)
+    return Matrix(fld, rows)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_monomial_products_match_boxed_reference(spec, data):
+    # a monomial operand on the left copies and scales the other's rows, on
+    # the right its columns; zero rows, zero columns and rectangular shapes
+    # down to 1 x 1 are drawn, and zeros stay the shared zero
+    fld = parse_field(spec)
+    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    pairs = [(data.draw(_monomials(fld, n, k)), data.draw(_matrices(fld, k, m))),
+             (data.draw(_matrices(fld, n, k)), data.draw(_monomials(fld, k, m))),
+             (data.draw(_monomials(fld, n, k)), data.draw(_monomials(fld, k, m)))]
+    for x, y in pairs:
+        got = x * y
+        assert _typed(got) == _typed(_boxed_mul(x, y))
+        assert _zeros_are_shared(got)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS)
+def test_diagonal_and_exchange_operands_skip_the_dense_kernel(spec, monkeypatch):
+    # A* = diag(theta*) and S = J on either side of a dense matrix are
+    # scaled copies; the field's dense kernel is never called
+    fld = parse_field(spec)
+    s = fld.gen() if isinstance(fld, QuadraticExtension) else fld.one
+    n = 4
+    dense = Matrix(fld, [[fld(3 * i + j + 1) + s * fld(i * j - 1) for j in range(n)]
+                         for i in range(n)])
+    J = Matrix.from_raw(fld, identity(fld, n).raw[::-1])
+    mono = [diagonal(fld, [2, 0, -1, 3]), J, identity(fld, n), J * diagonal(fld, [1, -1, 5, 0])]
+    expected = [(_typed(_boxed_mul(x, dense)), _typed(_boxed_mul(dense, x))) for x in mono]
+
+    def refuse(rows, cols):
+        raise AssertionError("dense kernel called on a monomial operand")
+
+    monkeypatch.setattr(fld, "_matmul", refuse)
+    assert [(_typed(x * dense), _typed(dense * x)) for x in mono] == expected
+    with pytest.raises(AssertionError, match="dense kernel"):
+        dense * dense
 
 
 @pytest.mark.parametrize("spec", KERNEL_FIELDS)
@@ -679,18 +741,89 @@ def test_extension_kernels_match_the_coordinate_formula(spec, data):
     assert _typed(got) == _typed(Matrix.from_raw(fld, [[_coordinate_product(fld, u, v)]]))
     n, m, k = (data.draw(st.integers(1, 4)) for _ in range(3))
     x, y = data.draw(_matrices(fld, n, m)), data.draw(_matrices(fld, m, k))
-    base_zero = fld.base.zero
+    assert _typed(x * y) == _typed(_coordinate_matmul(x, y))
+
+
+def _coordinate_matmul(x, y):
+    """x y with every coordinate summed from _coordinate_product."""
+    fld, base_zero = x.field, x.field.base.zero
     expected = []
-    for i in range(n):
+    for i in range(x.nrows):
         row = []
-        for j in range(k):
+        for j in range(y.ncols):
             re, im = base_zero, base_zero
-            for l in range(m):
+            for l in range(x.ncols):
                 a, b = _coordinate_product(fld, x[i, l], y[l, j])
                 re, im = re + FieldElement(fld.base, a), im + FieldElement(fld.base, b)
             row.append((re.value, im.value))
         expected.append(row)
-    assert _typed(x * y) == _typed(Matrix.from_raw(fld, expected))
+    return Matrix.from_raw(fld, expected)
+
+
+EXTENSION_KERNEL_FIELDS = [s for s in KERNEL_FIELDS
+                           if isinstance(parse_field(s), QuadraticExtension)]
+
+
+@st.composite
+def _base_valued(draw, fld, n, m):
+    """An n x m matrix over the extension fld whose sqrt(d) block is zero."""
+    return Matrix(fld, [[fld(draw(_base_elements(fld.base))) for _ in range(m)]
+                        for _ in range(n)])
+
+
+@pytest.mark.parametrize("spec", EXTENSION_KERNEL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_base_valued_extension_products_match_the_coordinate_formula(spec, data):
+    # a zero sqrt(d) block on one side forms XZ + (XT) s or XZ + (YZ) s on
+    # the base's kernel, on both sides XZ alone; zero coordinates stay the
+    # base's shared zero.  Each operand is also multiplied as a 1 x 1 element.
+    fld = parse_field(spec)
+    n, m, k = (data.draw(st.integers(1, 4)) for _ in range(3))
+    for left, right in ((_base_valued, _matrices), (_matrices, _base_valued),
+                        (_base_valued, _base_valued)):
+        x, y = data.draw(left(fld, n, m)), data.draw(right(fld, m, k))
+        got = x * y
+        assert _typed(got) == _typed(_coordinate_matmul(x, y))
+        assert _zeros_are_shared(got)
+        u, v = x[0, 0], y[0, 0]
+        prod = Matrix.from_raw(fld, [[fld._mul(u.value, v.value)]])
+        assert _typed(prod) == _typed(Matrix.from_raw(fld, [[_coordinate_product(fld, u, v)]]))
+        assert _zeros_are_shared(prod)
+
+
+@pytest.mark.parametrize("spec", EXTENSION_KERNEL_FIELDS)
+def test_base_valued_extension_products_cancel_to_the_shared_zero(spec):
+    # [1 1] times (u, -u), (u, 1 - s) and (u, s - 1) for u = 1 + s cancels
+    # both coordinates, then the sqrt(d) one, then the first one; likewise
+    # with the base-valued operand on the right, and on both sides
+    fld = parse_field(spec)
+    s = fld.gen()
+    u = fld.one + s
+    ones, signs = Matrix(fld, [[1, 1]]), Matrix(fld, [[1], [-1]])
+    cases = [(ones, Matrix(fld, [[u], [w]])) for w in (-u, fld.one - s, s - fld.one)]
+    cases += [(Matrix(fld, [[u, u]]), signs), (ones, signs)]
+    for x, y in cases:
+        got = x * y
+        assert _typed(got) == _typed(_coordinate_matmul(x, y))
+        assert _zeros_are_shared(got)
+    assert (ones * signs).is_zero() and (cases[0][0] * cases[0][1]).is_zero()
+
+
+@pytest.mark.parametrize("spec", EXTENSION_KERNEL_FIELDS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_base_valued_extension_inverse_stays_in_the_base(spec, data):
+    # 1/a for a in the base is the base's inverse with a shared zero sqrt(d)
+    # coordinate, and the coordinate formula multiplies it back to one
+    fld = parse_field(spec)
+    a = data.draw(_base_elements(fld.base).map(fld).filter(lambda e: not e.is_zero()))
+    inv = FieldElement(fld, fld._inv(a.value))
+    base_inv = FieldElement(fld.base, a.value[0]).inverse().value
+    assert _typed(Matrix.from_raw(fld, [[inv.value]])) == \
+        _typed(Matrix.from_raw(fld, [[(base_inv, fld.base._zero_raw)]]))
+    assert inv.value[1] is fld.base._zero_raw
+    assert _coordinate_product(fld, a, inv) == fld._one_raw
 
 
 @st.composite

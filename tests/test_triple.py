@@ -1,11 +1,10 @@
 import dataclasses
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbtridiag.arrays import Family, generate_family, validate_array
+from tbtridiag.arrays import Family, generate_family
 from tbtridiag.errors import (BetaInvalid, KappaMismatch, NoSquareRootInField,
                               NotSelfDual, RelationViolation, Singular)
 from tbtridiag.fields import QQ, PrimeField, QQi, parse_field
@@ -18,7 +17,7 @@ from tbtridiag.triple import (LeonardTriple, WData, antiautomorphism_report,
                               antiautomorphisms, braid_check, build_C,
                               build_W, expected_kappa, rho_automorphism,
                               sigma_and_psl2z, spectral_elements,
-                              triple_scalars, _weights)
+                              triple_scalars)
 
 
 def _units(fld, n):
